@@ -99,20 +99,23 @@ void BM_FusedAllreduce(benchmark::State& state) {
   state.SetLabel(fused ? "fused" : "per-tensor");
 }
 
+// All the work runs on rank threads, so these time the wall clock: the
+// main thread's CPU time would size iterations and bytes/s off an idle
+// thread.
 BENCHMARK(BM_AllreduceRing)
     ->Args({2, 1 << 16})->Args({4, 1 << 16})->Args({8, 1 << 16})
-    ->Unit(benchmark::kMillisecond)->MinTime(0.4);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->MinTime(0.4);
 BENCHMARK(BM_AllreduceNaive)
     ->Args({2, 1 << 16})->Args({4, 1 << 16})->Args({8, 1 << 16})
-    ->Unit(benchmark::kMillisecond)->MinTime(0.4);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->MinTime(0.4);
 BENCHMARK(BM_AllreduceHierarchical)
     ->Args({2, 1 << 16})->Args({4, 1 << 16})->Args({8, 1 << 16})
-    ->Unit(benchmark::kMillisecond)->MinTime(0.4);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->MinTime(0.4);
 BENCHMARK(BM_Broadcast)
     ->Args({4, 1 << 16})->Args({8, 1 << 16})
-    ->Unit(benchmark::kMillisecond)->MinTime(0.4);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->MinTime(0.4);
 BENCHMARK(BM_FusedAllreduce)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.4);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->MinTime(0.4);
 
 // Overlap ablation: one synthetic training step — a backward pass of 16
 // layers with 1 MB of gradients and a fixed compute cost each — with the

@@ -5,6 +5,7 @@
 #include <exception>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/error.h"
 
@@ -12,63 +13,133 @@ namespace candle::comm {
 
 namespace {
 
-// Dtype-generic operations on range [b, e) of a compressed wire image over
-// `n` total elements. For the 16-bit dtypes the range is simply words
-// [b, e); for int8 the payload and scale planes are addressed with
-// pre-offset pointers, so the quantization chunk grid is always relative to
-// the range start and disjoint ring segments own disjoint scale slots
-// (wire_codec.h). Every collective therefore encodes int8 per segment —
-// never as one whole-buffer range — so encoder and decoder agree on the
-// grid at every hop.
+// Range helpers: the wire codec applied to range [b, e) of an n-element
+// buffer. kFp32 is the identity codec: a rank's own fp32 buffer *is* its wire
+// image, so encode and adopt (the owner's round-trip) do nothing, decode is a
+// copy and decode_add the plain add. These helpers are the only code that
+// tells fp32 from a compressed dtype.
+//
+// A compressed image lives in the rank's uint16 wire scratch. For the 16-bit
+// dtypes the range is simply words [b, e); for int8 the payload and scale
+// planes are addressed with pre-offset pointers, so the quantization chunk
+// grid is always relative to the range start and disjoint ring segments own
+// disjoint scale slots (wire_codec.h). Every ring therefore encodes int8 per
+// segment — never as one whole-buffer range — so encoder and decoder agree on
+// the grid at every hop.
 
-void encode_range(WireDtype wire, const float* data, std::uint16_t* image,
-                  std::size_t n, std::size_t b, std::size_t e) {
-  if (e <= b) return;
-  if (wire == WireDtype::kInt8)
-    wire::encode_int8(data + b, wire::int8_payload(image, n) + b,
-                      wire::int8_scales(image) + b, e - b);
-  else
-    wire::encode(wire, data + b, image + b, e - b);
+// A rank's wire image: its fp32 buffer, or `at` words into its wire scratch.
+void* image_of(WireDtype wire, float* data, std::uint16_t* scratch,
+               std::size_t at) {
+  return wire == WireDtype::kFp32 ? static_cast<void*>(data) : scratch + at;
 }
 
-void decode_range(WireDtype wire, const std::uint16_t* image, float* data,
+void encode_range(WireDtype wire, const float* data, void* image,
                   std::size_t n, std::size_t b, std::size_t e) {
-  if (e <= b) return;
+  if (e <= b || wire == WireDtype::kFp32) return;
+  auto* img = static_cast<std::uint16_t*>(image);
   if (wire == WireDtype::kInt8)
-    wire::decode_int8(wire::int8_payload(image, n) + b,
-                      wire::int8_scales(image) + b, data + b, e - b);
+    wire::encode_int8(data + b, wire::int8_payload(img, n) + b,
+                      wire::int8_scales(img) + b, e - b);
   else
-    wire::decode(wire, image + b, data + b, e - b);
+    wire::encode(wire, data + b, img + b, e - b);
 }
 
-void decode_add_range(WireDtype wire, const std::uint16_t* image, float* data,
+// Decodes range [b, e) of a peer's image into `data`.
+void decode_range(WireDtype wire, const void* image, float* data,
+                  std::size_t n, std::size_t b, std::size_t e) {
+  if (e <= b) return;
+  const auto* img = static_cast<const std::uint16_t*>(image);
+  if (wire == WireDtype::kFp32)
+    std::memcpy(data + b, static_cast<const float*>(image) + b,
+                (e - b) * sizeof(float));
+  else if (wire == WireDtype::kInt8)
+    wire::decode_int8(wire::int8_payload(img, n) + b,
+                      wire::int8_scales(img) + b, data + b, e - b);
+  else
+    wire::decode(wire, img + b, data + b, e - b);
+}
+
+// The owner's round-trip: `data` adopts range [b, e) of this rank's own
+// image, so it holds exactly the values its peers decode and every rank ends
+// bit-identical (its fp32 master may hold a more precise sum).
+void adopt_range(WireDtype wire, const void* image, float* data,
+                 std::size_t n, std::size_t b, std::size_t e) {
+  if (wire != WireDtype::kFp32) decode_range(wire, image, data, n, b, e);
+}
+
+void decode_add_range(WireDtype wire, const void* image, float* data,
                       std::size_t n, std::size_t b, std::size_t e) {
   if (e <= b) return;
-  if (wire == WireDtype::kInt8)
-    wire::decode_add_int8(wire::int8_payload(image, n) + b,
-                          wire::int8_scales(image) + b, data + b, e - b);
-  else
-    wire::decode_add(wire, image + b, data + b, e - b);
+  const auto* img = static_cast<const std::uint16_t*>(image);
+  if (wire == WireDtype::kFp32) {
+    const auto* src = static_cast<const float*>(image);
+    for (std::size_t i = b; i < e; ++i) data[i] += src[i];
+  } else if (wire == WireDtype::kInt8) {
+    wire::decode_add_int8(wire::int8_payload(img, n) + b,
+                          wire::int8_scales(img) + b, data + b, e - b);
+  } else {
+    wire::decode_add(wire, img + b, data + b, e - b);
+  }
 }
 
-// Propagates range [b, e) of a peer's wire image into ours (ring allgather
-// hops): the payload words/bytes plus, for int8, the range's scale slots.
-void copy_range(WireDtype wire, std::uint16_t* dst, const std::uint16_t* src,
-                std::size_t n, std::size_t b, std::size_t e) {
+// Propagates range [b, e) of a peer's image into ours (ring allgather hops):
+// the payload plus, for int8, the range's scale slots.
+void copy_range(WireDtype wire, void* dst, const void* src, std::size_t n,
+                std::size_t b, std::size_t e) {
   if (e <= b) return;
+  auto* d = static_cast<std::uint16_t*>(dst);
+  const auto* s = static_cast<const std::uint16_t*>(src);
   if (wire == WireDtype::kInt8) {
-    std::memcpy(wire::int8_payload(dst, n) + b, wire::int8_payload(src, n) + b,
+    std::memcpy(wire::int8_payload(d, n) + b, wire::int8_payload(s, n) + b,
                 e - b);
-    float* dst_scales = wire::int8_scales(dst);
-    const float* src_scales = wire::int8_scales(src);
-    for (std::size_t s = b; s < e; s += kInt8ChunkElems)
-      dst_scales[s] = src_scales[s];
+    float* dst_scales = wire::int8_scales(d);
+    const float* src_scales = wire::int8_scales(s);
+    for (std::size_t c = b; c < e; c += kInt8ChunkElems)
+      dst_scales[c] = src_scales[c];
   } else {
-    std::memcpy(dst + b, src + b, (e - b) * sizeof(std::uint16_t));
+    const std::size_t width = wire_width_bytes(wire);
+    std::memcpy(static_cast<char*>(dst) + b * width,
+                static_cast<const char*>(src) + b * width, (e - b) * width);
   }
 }
 
 }  // namespace
+
+// One ring, as this rank sees it. Segment g of the buffer covers
+// [off(g), off(g+1)), with boundaries on multiples of `gran`. Peers' ring
+// images sit `at` words into their wire scratch. A rank with `active` false
+// steps the ring's barriers but moves no data.
+struct World::Ring {
+  using Range = std::pair<std::size_t, std::size_t>;
+  std::size_t size;
+  std::size_t own;   // segment this rank owns after the reduce-scatter
+  std::size_t pred;  // predecessor's rank
+  std::size_t gran;
+  bool active;
+  WireDtype wire;
+  std::span<float> data;
+  void* mine;  // this rank's ring image
+  std::size_t at;
+
+  [[nodiscard]] std::size_t off(std::size_t g) const {
+    return gran * (g * (data.size() / gran) / size);
+  }
+  // The segment k positions before the owned one (k <= size).
+  [[nodiscard]] Range seg(std::size_t k) const {
+    const std::size_t g = (own + size - k) % size;
+    return {off(g), off(g + 1)};
+  }
+  void encode(Range r) const {
+    encode_range(wire, data.data(), mine, data.size(), r.first, r.second);
+  }
+  void adopt(Range r) const {
+    adopt_range(wire, mine, data.data(), data.size(), r.first, r.second);
+  }
+  // Publishes every segment, each as its own range.
+  void encode_all() const {
+    for (std::size_t g = 0; g < size; ++g) encode({off(g), off(g + 1)});
+  }
+};
 
 const char* allreduce_algo_name(AllreduceAlgo a) {
   switch (a) {
@@ -139,8 +210,12 @@ void Communicator::reduce_sum_to(std::span<float> data, std::size_t root) {
 
 void Communicator::allgather(std::span<const float> contribution,
                              std::vector<float>& gathered) {
-  ++stats_.allgather_calls;
-  world_->do_allgather(*this, contribution, gathered);
+  // The in-place ring allgather with one contribution per segment.
+  const std::size_t m = contribution.size();
+  gathered.resize(size() * m);
+  std::copy(contribution.begin(), contribution.end(),
+            gathered.begin() + static_cast<std::ptrdiff_t>(rank_ * m));
+  allgather(gathered, WireDtype::kFp32, std::max<std::size_t>(m, 1));
 }
 
 void Communicator::reduce_scatter(std::span<float> data) {
@@ -175,14 +250,7 @@ World::World(std::size_t size, WorldOptions options)
     : size_(size),
       options_(options),
       barrier_(static_cast<std::ptrdiff_t>(size)),
-      bufs_(size, nullptr),
-      const_bufs_(size, nullptr),
-      wire_bufs_(size, nullptr),
-      counts_(size, 0),
-      seqs_(size, 0),
-      ops_(size, nullptr),
-      dtypes_(size, WireDtype::kFp32),
-      grans_(size, 1) {
+      regs_(size) {
   require(size > 0, "World: size must be > 0");
   require(options.ranks_per_node > 0, "World: ranks_per_node must be > 0");
 }
@@ -191,146 +259,159 @@ World::~World() = default;
 
 void World::do_barrier() { barrier_.arrive_and_wait(); }
 
-void World::register_buffer(std::size_t rank, float* data, std::size_t count,
-                            std::uint64_t seq, const char* op, WireDtype wire,
-                            std::uint16_t* wire_buf,
-                            std::size_t granularity) {
-  MutexLock lock(reg_mutex_);
-  bufs_[rank] = data;
-  wire_bufs_[rank] = wire_buf;
-  counts_[rank] = count;
-  seqs_[rank] = seq;
-  ops_[rank] = op;
-  dtypes_[rank] = wire;
-  grans_[rank] = granularity;
-}
-
-void World::register_const_buffer(std::size_t rank, const float* data,
-                                  std::size_t count, std::uint64_t seq,
-                                  const char* op) {
-  MutexLock lock(reg_mutex_);
-  const_bufs_[rank] = data;
-  wire_bufs_[rank] = nullptr;
-  counts_[rank] = count;
-  seqs_[rank] = seq;
-  ops_[rank] = op;
-  dtypes_[rank] = WireDtype::kFp32;
-  grans_[rank] = 1;
-}
-
-float* World::peer_buffer(std::size_t rank) const {
-  MutexLock lock(reg_mutex_);
-  return bufs_[rank];
-}
-
-const float* World::peer_const_buffer(std::size_t rank) const {
-  MutexLock lock(reg_mutex_);
-  return const_bufs_[rank];
-}
-
-std::size_t World::peer_count(std::size_t rank) const {
-  MutexLock lock(reg_mutex_);
-  return counts_[rank];
-}
-
-std::uint16_t* World::peer_wire_buffer(std::size_t rank) const {
-  MutexLock lock(reg_mutex_);
-  return wire_bufs_[rank];
-}
-
-void World::check_rendezvous(std::size_t count, std::uint64_t seq,
-                             const char* op, WireDtype wire,
-                             std::size_t granularity) const {
+void World::rendezvous(Communicator& self, std::span<float> data,
+                       std::uint64_t seq, const char* op, WireDtype wire,
+                       std::size_t granularity) {
+  {
+    MutexLock lock(reg_mutex_);
+    regs_[self.rank_] = {data.data(), self.wire_scratch_.data(), data.size(),
+                         seq, op, wire, granularity};
+  }
+  do_barrier();
   MutexLock lock(reg_mutex_);
   for (std::size_t r = 0; r < size_; ++r) {
-    if (seqs_[r] != seq || ops_[r] == nullptr ||
-        std::strcmp(ops_[r], op) != 0)
+    const Registration& g = regs_[r];
+    if (g.seq != seq || g.op == nullptr || std::strcmp(g.op, op) != 0)
       throw CommError(std::string(op) +
                       ": ranks issued different collective sequences "
                       "(rank registered " +
-                      (ops_[r] != nullptr ? ops_[r] : "<none>") + " #" +
-                      std::to_string(seqs_[r]) + ", expected " + op + " #" +
+                      (g.op != nullptr ? g.op : "<none>") + " #" +
+                      std::to_string(g.seq) + ", expected " + op + " #" +
                       std::to_string(seq) + ")");
-    if (counts_[r] != count)
+    if (g.count != data.size())
       throw CommError(std::string(op) +
                       ": ranks passed different element counts");
-    if (dtypes_[r] != wire)
+    if (g.wire != wire)
       throw CommError(std::string(op) +
                       ": ranks requested different wire dtypes (rank " +
                       std::to_string(r) + " registered " +
-                      wire_dtype_name(dtypes_[r]) + ", expected " +
+                      wire_dtype_name(g.wire) + ", expected " +
                       wire_dtype_name(wire) + ")");
-    if (grans_[r] != granularity)
+    if (g.granularity != granularity)
       throw CommError(std::string(op) +
                       ": ranks passed different segment granularities "
                       "(rank " + std::to_string(r) + " registered " +
-                      std::to_string(grans_[r]) + ", expected " +
+                      std::to_string(g.granularity) + ", expected " +
                       std::to_string(granularity) + ")");
   }
+}
+
+const void* World::peer_image(std::size_t rank, WireDtype wire,
+                              std::size_t at) const {
+  MutexLock lock(reg_mutex_);
+  return image_of(wire, regs_[rank].data, regs_[rank].scratch, at);
+}
+
+// --- The three primitives ----------------------------------------------------
+
+void World::ring_reduce_scatter(Communicator& self, const Ring& ring,
+                                bool reencode_last) {
+  // Hop s accumulates the predecessor's partial of segment seg(s + 2), which
+  // it produced at hop s - 1 (its entry image for s = 0), and re-encodes it
+  // for the successor; the last hop lands the owned segment with the full
+  // sum. Compressed hops quantize the running sum once per hop but never
+  // accumulate in reduced precision: the fp32 buffer is the master.
+  const void* src = peer_image(ring.pred, ring.wire, ring.at);
+  for (std::size_t s = 0; s + 1 < ring.size; ++s) {
+    if (ring.active) {
+      const auto [b, e] = ring.seg(s + 2);
+      decode_add_range(ring.wire, src, ring.data.data(), ring.data.size(), b,
+                       e);
+      if (s + 2 < ring.size || reencode_last) ring.encode({b, e});
+      self.stats_.bytes_sent += wire_range_bytes(ring.wire, e - b);
+    }
+    do_barrier();
+  }
+}
+
+void World::ring_allgather(Communicator& self, const Ring& ring,
+                           bool close) {
+  // Hop s copies the predecessor's image of segment seg(s + 1), which it
+  // completed the hop before (its owned segment for s = 0), and adopts it.
+  const void* src = peer_image(ring.pred, ring.wire, ring.at);
+  for (std::size_t s = 0; s + 1 < ring.size; ++s) {
+    if (ring.active) {
+      const auto [b, e] = ring.seg(s + 1);
+      copy_range(ring.wire, ring.mine, src, ring.data.size(), b, e);
+      ring.adopt({b, e});
+      self.stats_.bytes_sent += wire_range_bytes(ring.wire, e - b);
+    }
+    if (s + 2 < ring.size || close) do_barrier();
+  }
+}
+
+void World::group_reduce(Communicator& self, std::span<float> data,
+                         std::size_t first, std::size_t end, std::size_t root,
+                         WireDtype wire) {
+  if (self.rank_ != root) return;
+  const std::size_t n = data.size();
+  for (std::size_t m = first; m < end; ++m) {
+    if (m == root) continue;
+    decode_add_range(wire, peer_image(m, wire, 0), data.data(), n, 0, n);
+    self.stats_.bytes_sent += wire_range_bytes(wire, n);
+  }
+}
+
+void World::group_copy(Communicator& self, std::span<float> data,
+                       std::size_t root, WireDtype wire, void* mine) {
+  // The root publishes before the barrier and adopts its own image after
+  // it, so a leader-ring successor still reading its buffer (an fp32 ring
+  // image) never sees the round-tripped values.
+  const std::size_t n = data.size();
+  if (self.rank_ == root) encode_range(wire, data.data(), mine, n, 0, n);
+  do_barrier();
+  if (self.rank_ == root) {
+    adopt_range(wire, mine, data.data(), n, 0, n);
+  } else {
+    decode_range(wire, peer_image(root, wire, 0), data.data(), n, 0, n);
+    self.stats_.bytes_sent += wire_range_bytes(wire, n);
+  }
+  do_barrier();
+}
+
+// --- Collectives ------------------------------------------------------------
+
+World::Ring World::world_ring(Communicator& self, std::span<float> data,
+                              WireDtype wire, std::size_t offset,
+                              std::size_t granularity, const char* op) {
+  if (granularity == 0 || data.size() % granularity != 0)
+    throw InvalidArgument(std::string(op) + ": granularity must be > 0 and "
+                                            "divide the element count");
+  // A single rank moves no bytes; keep it exact whatever the dtype.
+  if (size_ == 1) wire = WireDtype::kFp32;
+  const std::size_t r = self.rank_;
+  std::uint16_t* scratch =
+      self.scratch(wire::wire_image_scratch_elems(wire, data.size()));
+  return Ring{.size = size_, .own = (r + offset) % size_,
+              .pred = (r + size_ - 1) % size_, .gran = granularity,
+              .active = true, .wire = wire, .data = data,
+              .mine = image_of(wire, data.data(), scratch, 0), .at = 0};
 }
 
 void World::allreduce(Communicator& self, std::span<float> data, bool average,
                       WireDtype wire) {
   const std::uint64_t seq = ++self.seq_;
-  const std::size_t n = data.size();
-  // A single-rank reduction moves no bytes; keep it exact regardless of the
-  // requested dtype (all ranks take this branch identically).
-  const bool compressed = wire != WireDtype::kFp32 && size_ > 1;
-  if (!compressed) wire = WireDtype::kFp32;
-  const bool hier = options_.allreduce_algo == AllreduceAlgo::kHierarchical;
-  // The hierarchical local-leg dtype is world-level configuration, so every
-  // rank derives the same value — no rendezvous cross-check needed.
-  const WireDtype local_wire =
-      (hier && size_ > 1) ? options_.local_wire_dtype : WireDtype::kFp32;
-  const bool local_compressed = local_wire != WireDtype::kFp32;
-  if (compressed || local_compressed) {
-    self.wire_scratch_.resize(
-        std::max(wire::wire_image_scratch_elems(wire, n),
-                 wire::wire_image_scratch_elems(local_wire, n)));
-    std::uint16_t* mine = self.wire_scratch_.data();
-    // Ring/naive peers read the wire image right after the rendezvous
-    // barrier; the hierarchical leader ring publishes it after the
-    // intra-node reduce, but members publish their contribution here when
-    // the local leg compresses. The ring encodes per segment so re-encoded
-    // hops keep the int8 chunk grid (identical bytes for 16-bit dtypes).
-    if (compressed && options_.allreduce_algo == AllreduceAlgo::kRing) {
-      for (std::size_t g = 0; g < size_; ++g)
-        encode_range(wire, data.data(), mine, n, g * n / size_,
-                     (g + 1) * n / size_);
-    } else if (compressed && options_.allreduce_algo == AllreduceAlgo::kNaive) {
-      encode_range(wire, data.data(), mine, n, 0, n);
-    } else if (local_compressed &&
-               self.rank_ % options_.ranks_per_node != 0) {
-      encode_range(local_wire, data.data(), mine, n, 0, n);
-    }
-  }
-  register_buffer(
-      self.rank_, data.data(), n, seq, "allreduce", wire,
-      (compressed || local_compressed) ? self.wire_scratch_.data() : nullptr);
-  do_barrier();
-  check_rendezvous(n, seq, "allreduce", wire);
   const std::size_t sent_before = self.stats_.bytes_sent;
-  if (size_ > 1) {
-    switch (options_.allreduce_algo) {
-      case AllreduceAlgo::kRing:
-        if (compressed)
-          allreduce_ring_compressed(self, data, wire);
-        else
-          allreduce_ring(self, data);
-        break;
-      case AllreduceAlgo::kNaive:
-        if (compressed)
-          allreduce_naive_compressed(self, data, wire);
-        else
-          allreduce_naive(self, data);
-        break;
-      case AllreduceAlgo::kHierarchical:
-        allreduce_hierarchical(self, data, wire, local_wire);
-        break;
-    }
+  const AllreduceAlgo algo = options_.allreduce_algo;
+  if (algo == AllreduceAlgo::kRing || size_ == 1) {
+    // One rank takes the ring's zero hops (world_ring keeps it fp32).
+    const Ring ring = world_ring(self, data, wire, /*offset=*/1,
+                                 /*granularity=*/1, "allreduce");
+    wire = ring.wire;
+    ring.encode_all();
+    rendezvous(self, data, seq, "allreduce", wire);
+    ring_reduce_scatter(self, ring, /*reencode_last=*/true);
+    ring.adopt(ring.seg(0));
+    ring_allgather(self, ring, /*close=*/true);
+  } else {
+    // kNaive is the two-level reduction with the whole world as one node.
+    const bool hier = algo == AllreduceAlgo::kHierarchical;
+    allreduce_two_level(self, data, seq, wire,
+                        hier ? options_.local_wire_dtype : wire,
+                        hier ? options_.ranks_per_node : size_);
   }
-  self.stats_.allreduce_wire_bytes[allreduce_algo_index(
-      options_.allreduce_algo)][wire_dtype_index(wire)] +=
+  self.stats_.allreduce_wire_bytes[allreduce_algo_index(algo)]
+                                  [wire_dtype_index(wire)] +=
       self.stats_.bytes_sent - sent_before;
   if (average && size_ > 1) {
     // Runs after the reduction as the same fp32 op on bit-identical inputs
@@ -341,274 +422,55 @@ void World::allreduce(Communicator& self, std::span<float> data, bool average,
   do_barrier();
 }
 
-void World::allreduce_ring(Communicator& self, std::span<float> data) {
-  const std::size_t P = size_;
-  const std::size_t r = self.rank_;
-  const std::size_t n = data.size();
-
-  // Segment boundaries: segment g covers [off(g), off(g+1)).
-  auto off = [&](std::size_t g) { return g * n / P; };
-  auto seg = [&](std::size_t g) {
-    return std::pair<std::size_t, std::size_t>{off(g), off(g + 1)};
-  };
-  auto mod = [&](std::size_t a) { return a % P; };
-
-  // Scatter-reduce: after step s, this rank's segment (r-1-s mod P) holds
-  // the partial sum of s+2 contributions. Between barriers each rank writes
-  // only its own buffer, and reads a neighbor segment the neighbor is not
-  // writing in the same step.
-  for (std::size_t s = 0; s + 1 < P; ++s) {
-    const std::size_t recv_seg = mod(r + 2 * P - 1 - s);
-    const auto [b, e] = seg(recv_seg);
-    const float* src = peer_buffer(mod(r + P - 1));
-    for (std::size_t i = b; i < e; ++i) data[i] += src[i];
-    self.stats_.bytes_sent += (e - b) * sizeof(float);
-    do_barrier();
-  }
-
-  // Allgather: step s copies segment (r - s mod P) from the predecessor,
-  // which completed it in the previous step (or in scatter-reduce for s=0).
-  for (std::size_t s = 0; s + 1 < P; ++s) {
-    const std::size_t copy_seg = mod(r + 2 * P - s);
-    const auto [b, e] = seg(copy_seg);
-    const float* src = peer_buffer(mod(r + P - 1));
-    if (e > b)
-      std::memcpy(data.data() + b, src + b, (e - b) * sizeof(float));
-    self.stats_.bytes_sent += (e - b) * sizeof(float);
-    do_barrier();
-  }
-}
-
-void World::allreduce_ring_compressed(Communicator& self,
-                                      std::span<float> data, WireDtype wire) {
-  // Same segment/barrier schedule as allreduce_ring, with wire images in
-  // place of the fp32 buffers: each hop decodes the predecessor's wire
-  // segment, accumulates into this rank's fp32 buffer (the "master"), and
-  // re-encodes the partial for the successor — so the running sum is
-  // quantized once per hop but never accumulated in reduced precision.
-  const std::size_t P = size_;
-  const std::size_t r = self.rank_;
-  const std::size_t n = data.size();
-  std::uint16_t* mine = self.wire_scratch_.data();
-
-  auto off = [&](std::size_t g) { return g * n / P; };
-  auto mod = [&](std::size_t a) { return a % P; };
-
-  for (std::size_t s = 0; s + 1 < P; ++s) {
-    const std::size_t recv_seg = mod(r + 2 * P - 1 - s);
-    const std::size_t b = off(recv_seg), e = off(recv_seg + 1);
-    const std::uint16_t* src = peer_wire_buffer(mod(r + P - 1));
-    if (e > b) {
-      decode_add_range(wire, src, data.data(), n, b, e);
-      encode_range(wire, data.data(), mine, n, b, e);
-    }
-    self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-    do_barrier();
-  }
-
-  // This rank's fp32 master now holds a higher-precision sum for its owned
-  // segment than the wire image peers will copy; round-trip it through the
-  // codec so every rank ends with bit-identical fp32 results.
-  {
-    const std::size_t own = mod(r + 1);
-    decode_range(wire, mine, data.data(), n, off(own), off(own + 1));
-  }
-
-  // Allgather: copy the predecessor's completed wire segment (propagating
-  // it around the ring) and decode it into the fp32 buffer.
-  for (std::size_t s = 0; s + 1 < P; ++s) {
-    const std::size_t copy_seg = mod(r + 2 * P - s);
-    const std::size_t b = off(copy_seg), e = off(copy_seg + 1);
-    const std::uint16_t* src = peer_wire_buffer(mod(r + P - 1));
-    if (e > b) {
-      copy_range(wire, mine, src, n, b, e);
-      decode_range(wire, mine, data.data(), n, b, e);
-    }
-    self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-    do_barrier();
-  }
-}
-
-void World::allreduce_naive(Communicator& self, std::span<float> data) {
-  // Rank 0 accumulates everyone, then everyone copies rank 0.
-  if (self.rank_ == 0) {
-    for (std::size_t peer = 1; peer < size_; ++peer) {
-      const float* src = peer_buffer(peer);
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += src[i];
-      self.stats_.bytes_sent += data.size() * sizeof(float);
-    }
-  }
-  do_barrier();
-  if (self.rank_ != 0 && !data.empty()) {
-    std::memcpy(data.data(), peer_buffer(0), data.size() * sizeof(float));
-    self.stats_.bytes_sent += data.size() * sizeof(float);
-  }
-  do_barrier();
-}
-
-void World::allreduce_naive_compressed(Communicator& self,
-                                       std::span<float> data,
-                                       WireDtype wire) {
-  // Rank 0 decodes and accumulates every peer's wire image in fp32, then
-  // publishes the result compressed; peers decode rank 0's image. The
-  // whole buffer is one wire range (chunk grid starts at element 0 on
-  // every rank).
-  const std::size_t n = data.size();
-  std::uint16_t* mine = self.wire_scratch_.data();
-  if (self.rank_ == 0) {
-    for (std::size_t peer = 1; peer < size_; ++peer) {
-      decode_add_range(wire, peer_wire_buffer(peer), data.data(), n, 0, n);
-      self.stats_.bytes_sent += wire_range_bytes(wire, n);
-    }
-    // Adopt the published wire image locally so rank 0's fp32 result
-    // matches what every peer decodes.
-    encode_range(wire, data.data(), mine, n, 0, n);
-    decode_range(wire, mine, data.data(), n, 0, n);
-  }
-  do_barrier();
-  if (self.rank_ != 0 && n > 0) {
-    decode_range(wire, peer_wire_buffer(0), data.data(), n, 0, n);
-    self.stats_.bytes_sent += wire_range_bytes(wire, n);
-  }
-  do_barrier();
-}
-
-void World::allreduce_hierarchical(Communicator& self, std::span<float> data,
-                                   WireDtype wire, WireDtype local_wire) {
+void World::allreduce_two_level(Communicator& self, std::span<float> data,
+                                std::uint64_t seq, WireDtype wire,
+                                WireDtype local_wire, std::size_t rpn) {
   // Two-level reduction matching Summit's topology: NVLink within a node,
   // InfiniBand between node leaders (what NCCL does for multi-node jobs).
-  // `wire` compresses the inter-node leader ring (IB-class links, usually
-  // the bottleneck); `local_wire` compresses the intra-node legs for
-  // machines where local_bw is the limit instead. Both kFp32 reproduces
-  // the exact fp32 reduction bit-identically; on a single node a
-  // compressed `wire` alone degenerates to it too.
-  const std::size_t rpn = options_.ranks_per_node;
+  // `wire` compresses the leader ring (IB-class links, usually the
+  // bottleneck); `local_wire` compresses the intra-node legs for machines
+  // where local_bw is the limit instead.
   const std::size_t rank = self.rank_;
   const std::size_t node = rank / rpn;
-  const std::size_t local = rank % rpn;
   const std::size_t leader = node * rpn;
   const std::size_t nnodes = (size_ + rpn - 1) / rpn;
-  const std::size_t node_end = std::min(size_, leader + rpn);
   const std::size_t n = data.size();
-  const bool ring_compressed = wire != WireDtype::kFp32;
-  const bool local_compressed = local_wire != WireDtype::kFp32;
-  std::uint16_t* mine = self.wire_scratch_.data();
+  // The local image comes first and a leader's ring image after it
+  // (float-aligned for int8 scales), so a leader can publish its node's
+  // result while its ring successor still reads its ring image.
+  const std::size_t at =
+      (wire::wire_image_scratch_elems(local_wire, n) + 1) / 2 * 2;
+  const bool in_ring = rank == leader && nnodes > 1;
+  std::uint16_t* scratch = self.scratch(
+      at + (in_ring ? wire::wire_image_scratch_elems(wire, n) : 0));
+  void* local_mine = image_of(local_wire, data.data(), scratch, 0);
+  if (rank != leader)
+    encode_range(local_wire, data.data(), local_mine, n, 0, n);
+  rendezvous(self, data, seq, "allreduce", wire);
 
-  // Phase 1: intra-node reduce onto the node leader. With a compressed
-  // local leg the members published whole-buffer wire images at entry
-  // (World::allreduce) and the leader fuses decode+add into its fp32
-  // master; otherwise the leader reads the members' fp32 buffers.
-  if (local == 0) {
-    for (std::size_t m = leader + 1; m < node_end; ++m) {
-      if (local_compressed) {
-        decode_add_range(local_wire, peer_wire_buffer(m), data.data(), n, 0,
-                         n);
-        self.stats_.bytes_sent += wire_range_bytes(local_wire, n);
-      } else {
-        const float* src = peer_buffer(m);
-        for (std::size_t i = 0; i < n; ++i) data[i] += src[i];
-        self.stats_.bytes_sent += n * sizeof(float);
-      }
-    }
-  }
-  do_barrier();
-
-  // Phase 2: ring over the node leaders. Every rank participates in the
-  // step barriers; only leaders move data. Segment arithmetic is the same
-  // ring as allreduce_ring with P = nnodes and my index = node. When the
-  // ring compresses, leaders publish their node-reduced buffer on the wire
-  // first (per segment, so int8 chunk grids match the per-hop re-encodes);
-  // the extra barrier makes the images visible before the first hop.
+  group_reduce(self, data, leader, std::min(size_, leader + rpn), leader,
+               local_wire);
   if (nnodes > 1) {
-    const std::size_t P = nnodes;
-    auto off = [&](std::size_t g) { return g * n / P; };
-    const std::size_t pred_leader = ((node + P - 1) % P) * rpn;
-    if (ring_compressed) {
-      if (local == 0)
-        for (std::size_t g = 0; g < P; ++g)
-          encode_range(wire, data.data(), mine, n, off(g), off(g + 1));
-      do_barrier();
-    }
-    for (std::size_t s = 0; s + 1 < P; ++s) {
-      if (local == 0) {
-        const std::size_t recv_seg = (node + 2 * P - 1 - s) % P;
-        const std::size_t b = off(recv_seg), e = off(recv_seg + 1);
-        if (ring_compressed) {
-          const std::uint16_t* src = peer_wire_buffer(pred_leader);
-          if (e > b) {
-            decode_add_range(wire, src, data.data(), n, b, e);
-            encode_range(wire, data.data(), mine, n, b, e);
-          }
-          self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-        } else {
-          const float* src = peer_buffer(pred_leader);
-          for (std::size_t i = b; i < e; ++i) data[i] += src[i];
-          self.stats_.bytes_sent += (e - b) * sizeof(float);
-        }
-      }
-      do_barrier();
-    }
-    if (ring_compressed && local == 0) {
-      // Owner round-trip, as in allreduce_ring_compressed: leaders must
-      // end bit-identical so phase 3 broadcasts identical buffers.
-      const std::size_t own = (node + 1) % P;
-      decode_range(wire, mine, data.data(), n, off(own), off(own + 1));
-    }
-    for (std::size_t s = 0; s + 1 < P; ++s) {
-      if (local == 0) {
-        const std::size_t copy_seg = (node + 2 * P - s) % P;
-        const std::size_t b = off(copy_seg), e = off(copy_seg + 1);
-        if (ring_compressed) {
-          const std::uint16_t* src = peer_wire_buffer(pred_leader);
-          if (e > b) {
-            copy_range(wire, mine, src, n, b, e);
-            decode_range(wire, mine, data.data(), n, b, e);
-          }
-          self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-        } else {
-          const float* src = peer_buffer(pred_leader);
-          if (e > b)
-            std::memcpy(data.data() + b, src + b, (e - b) * sizeof(float));
-          self.stats_.bytes_sent += (e - b) * sizeof(float);
-        }
-      }
-      do_barrier();
-    }
+    // The same ring as the flat allreduce, over the node leaders; members
+    // only step its barriers.
+    const Ring ring{.size = nnodes, .own = (node + 1) % nnodes,
+                    .pred = ((node + nnodes - 1) % nnodes) * rpn, .gran = 1,
+                    .active = in_ring, .wire = wire, .data = data,
+                    .mine = image_of(wire, data.data(), scratch, at), .at = at};
+    if (ring.active) ring.encode_all();
+    do_barrier();
+    ring_reduce_scatter(self, ring, /*reencode_last=*/true);
+    if (ring.active) ring.adopt(ring.seg(0));
+    // The barrier after the last hop is group_copy's.
+    ring_allgather(self, ring, /*close=*/false);
   }
-
-  // Phase 3: intra-node broadcast of the leader's result. With a
-  // compressed local leg the leader re-encodes its final buffer (reusing
-  // the wire image the leader ring is done with), adopts its own decode,
-  // and an extra barrier publishes the image for the members — every
-  // leader round-trips even on member-less nodes, so all ranks of the
-  // world still end bit-identical.
-  if (local_compressed) {
-    if (local == 0) {
-      encode_range(local_wire, data.data(), mine, n, 0, n);
-      decode_range(local_wire, mine, data.data(), n, 0, n);
-    }
-    do_barrier();
-    if (local != 0 && n > 0) {
-      decode_range(local_wire, peer_wire_buffer(leader), data.data(), n, 0,
-                   n);
-      self.stats_.bytes_sent += wire_range_bytes(local_wire, n);
-    }
-    do_barrier();
-  } else {
-    if (local != 0 && !data.empty()) {
-      std::memcpy(data.data(), peer_buffer(leader), n * sizeof(float));
-      self.stats_.bytes_sent += n * sizeof(float);
-    }
-    do_barrier();
-  }
+  group_copy(self, data, leader, local_wire, local_mine);
 }
 
 void World::do_broadcast(Communicator& self, std::span<float> data,
                          std::size_t root) {
   const std::uint64_t seq = ++self.seq_;
-  register_buffer(self.rank_, data.data(), data.size(), seq, "broadcast");
-  do_barrier();
-  check_rendezvous(data.size(), seq, "broadcast");
+  rendezvous(self, data, seq, "broadcast");
   const std::size_t P = size_;
   const std::size_t rel = (self.rank_ + P - root % P) % P;
   // Binomial tree: in round k, ranks [2^k, 2^(k+1)) (relative to root) pull
@@ -616,7 +478,7 @@ void World::do_broadcast(Communicator& self, std::span<float> data,
   for (std::size_t span = 1; span < P; span <<= 1) {
     if (rel >= span && rel < 2 * span && !data.empty()) {
       const std::size_t src_rank = (rel - span + root) % P;
-      std::memcpy(data.data(), peer_buffer(src_rank),
+      std::memcpy(data.data(), peer_image(src_rank, WireDtype::kFp32, 0),
                   data.size() * sizeof(float));
       self.stats_.bytes_sent += data.size() * sizeof(float);
     }
@@ -628,102 +490,24 @@ void World::do_broadcast(Communicator& self, std::span<float> data,
 void World::do_reduce_to(Communicator& self, std::span<float> data,
                          std::size_t root) {
   const std::uint64_t seq = ++self.seq_;
-  register_buffer(self.rank_, data.data(), data.size(), seq, "reduce_sum_to");
-  do_barrier();
-  check_rendezvous(data.size(), seq, "reduce_sum_to");
-  if (self.rank_ == root) {
-    for (std::size_t peer = 0; peer < size_; ++peer) {
-      if (peer == root) continue;
-      const float* src = peer_buffer(peer);
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += src[i];
-      self.stats_.bytes_sent += data.size() * sizeof(float);
-    }
-  }
-  do_barrier();
-}
-
-void World::do_allgather(Communicator& self,
-                         std::span<const float> contribution,
-                         std::vector<float>& gathered) {
-  const std::uint64_t seq = ++self.seq_;
-  register_const_buffer(self.rank_, contribution.data(), contribution.size(),
-                        seq, "allgather");
-  do_barrier();
-  check_rendezvous(contribution.size(), seq, "allgather");
-  gathered.resize(size_ * contribution.size());
-  const std::size_t sent_before = self.stats_.bytes_sent;
-  for (std::size_t peer = 0; peer < size_; ++peer) {
-    if (peer_count(peer) == 0) continue;
-    std::memcpy(gathered.data() + peer * contribution.size(),
-                peer_const_buffer(peer), contribution.size() * sizeof(float));
-    if (peer != self.rank_)
-      self.stats_.bytes_sent += contribution.size() * sizeof(float);
-  }
-  self.stats_.allgather_wire_bytes[wire_dtype_index(WireDtype::kFp32)] +=
-      self.stats_.bytes_sent - sent_before;
+  rendezvous(self, data, seq, "reduce_sum_to");
+  group_reduce(self, data, 0, size_, root, WireDtype::kFp32);
   do_barrier();
 }
 
 void World::do_reduce_scatter(Communicator& self, std::span<float> data,
                               WireDtype wire, std::size_t granularity) {
   const std::uint64_t seq = ++self.seq_;
-  const std::size_t n = data.size();
-  require(granularity > 0, "reduce_scatter: granularity must be > 0");
-  require(n % granularity == 0,
-          "reduce_scatter: element count must be divisible by granularity");
-  const bool compressed = wire != WireDtype::kFp32 && size_ > 1;
-  if (!compressed) wire = WireDtype::kFp32;
-  const std::size_t units_total = n / granularity;
-  auto seg_off = [&](std::size_t g) {
-    return granularity * (g * units_total / size_);
-  };
-  if (compressed) {
-    self.wire_scratch_.resize(wire::wire_image_scratch_elems(wire, n));
-    // Per-segment entry encode: the per-hop re-encodes below operate on
-    // single segments, so the int8 chunk grid must be segment-relative
-    // from the start (identical bytes for the 16-bit dtypes).
-    for (std::size_t g = 0; g < size_; ++g)
-      encode_range(wire, data.data(), self.wire_scratch_.data(), n,
-                   seg_off(g), seg_off(g + 1));
-  }
-  register_buffer(self.rank_, data.data(), n, seq, "reduce_scatter", wire,
-                  compressed ? self.wire_scratch_.data() : nullptr,
-                  granularity);
-  do_barrier();
-  check_rendezvous(n, seq, "reduce_scatter", wire, granularity);
+  // The allreduce ring's reduce-scatter shifted one position, so rank r
+  // owns segment r. Nobody reads the owned segment's image, so the last
+  // hop keeps it at full fp32 master precision.
+  const Ring ring =
+      world_ring(self, data, wire, /*offset=*/0, granularity, "reduce_scatter");
+  ring.encode_all();
+  rendezvous(self, data, seq, "reduce_scatter", ring.wire, granularity);
   const std::size_t sent_before = self.stats_.bytes_sent;
-  if (size_ > 1) {
-    const std::size_t P = size_;
-    const std::size_t r = self.rank_;
-    auto off = seg_off;
-    auto mod = [&](std::size_t a) { return a % P; };
-    std::uint16_t* mine = compressed ? self.wire_scratch_.data() : nullptr;
-    // The allreduce ring's scatter-reduce phase, shifted one position so
-    // rank r finishes owning segment r: at step s each rank accumulates
-    // segment (r - 2 - s mod P) from its predecessor, which produced that
-    // partial at step s-1; the final step (s = P-2) lands segment r with
-    // the full P-way sum.
-    for (std::size_t s = 0; s + 1 < P; ++s) {
-      const std::size_t recv_seg = mod(r + 2 * P - 2 - s);
-      const std::size_t b = off(recv_seg), e = off(recv_seg + 1);
-      if (compressed) {
-        const std::uint16_t* src = peer_wire_buffer(mod(r + P - 1));
-        if (e > b) {
-          decode_add_range(wire, src, data.data(), n, b, e);
-          // The successor reads this partial at step s+1. The last step's
-          // result is this rank's owned segment — nobody reads it, so it
-          // keeps the full fp32 master precision.
-          if (s + 2 < P) encode_range(wire, data.data(), mine, n, b, e);
-        }
-      } else {
-        const float* src = peer_buffer(mod(r + P - 1));
-        for (std::size_t i = b; i < e; ++i) data[i] += src[i];
-      }
-      self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-      do_barrier();
-    }
-  }
-  self.stats_.reduce_scatter_wire_bytes[wire_dtype_index(wire)] +=
+  ring_reduce_scatter(self, ring, /*reencode_last=*/false);
+  self.stats_.reduce_scatter_wire_bytes[wire_dtype_index(ring.wire)] +=
       self.stats_.bytes_sent - sent_before;
   do_barrier();
 }
@@ -731,60 +515,16 @@ void World::do_reduce_scatter(Communicator& self, std::span<float> data,
 void World::do_allgather_inplace(Communicator& self, std::span<float> data,
                                  WireDtype wire, std::size_t granularity) {
   const std::uint64_t seq = ++self.seq_;
-  const std::size_t n = data.size();
-  require(granularity > 0, "allgather: granularity must be > 0");
-  require(n % granularity == 0,
-          "allgather: element count must be divisible by granularity");
-  const bool compressed = wire != WireDtype::kFp32 && size_ > 1;
-  if (!compressed) wire = WireDtype::kFp32;
-  const std::size_t P = size_;
-  const std::size_t r = self.rank_;
-  const std::size_t units = n / granularity;
-  auto off = [&](std::size_t g) { return granularity * (g * units / P); };
-  auto mod = [&](std::size_t a) { return a % P; };
-  if (compressed) {
-    self.wire_scratch_.resize(wire::wire_image_scratch_elems(wire, n));
-    // Only the owned segment needs a wire image before the first hop; the
-    // rest of this rank's image fills in as segments propagate the ring.
-    encode_range(wire, data.data(), self.wire_scratch_.data(), n, off(r),
-                 off(r + 1));
-  }
-  register_buffer(self.rank_, data.data(), n, seq, "allgather", wire,
-                  compressed ? self.wire_scratch_.data() : nullptr,
-                  granularity);
-  do_barrier();
-  check_rendezvous(n, seq, "allgather", wire, granularity);
+  // Only the owned segment needs an image before the first hop; the rest
+  // fills in as segments propagate.
+  const Ring ring =
+      world_ring(self, data, wire, /*offset=*/0, granularity, "allgather");
+  ring.encode(ring.seg(0));
+  rendezvous(self, data, seq, "allgather", ring.wire, granularity);
   const std::size_t sent_before = self.stats_.bytes_sent;
-  if (P > 1) {
-    std::uint16_t* mine = compressed ? self.wire_scratch_.data() : nullptr;
-    if (compressed) {
-      // Owner round-trip: peers decode this segment from the wire image,
-      // so the contributing rank adopts the same quantized values and all
-      // ranks end bit-identical (cf. allreduce_ring_compressed).
-      decode_range(wire, mine, data.data(), n, off(r), off(r + 1));
-    }
-    // Ring allgather with rank r owning segment r: at step s each rank
-    // copies segment (r - 1 - s mod P) from its predecessor, which
-    // completed it at step s-1 (its own contribution for s = 0).
-    for (std::size_t s = 0; s + 1 < P; ++s) {
-      const std::size_t copy_seg = mod(r + 2 * P - 1 - s);
-      const std::size_t b = off(copy_seg), e = off(copy_seg + 1);
-      if (compressed) {
-        const std::uint16_t* src = peer_wire_buffer(mod(r + P - 1));
-        if (e > b) {
-          copy_range(wire, mine, src, n, b, e);
-          decode_range(wire, mine, data.data(), n, b, e);
-        }
-      } else {
-        const float* src = peer_buffer(mod(r + P - 1));
-        if (e > b)
-          std::memcpy(data.data() + b, src + b, (e - b) * sizeof(float));
-      }
-      self.stats_.bytes_sent += wire_range_bytes(wire, e - b);
-      do_barrier();
-    }
-  }
-  self.stats_.allgather_wire_bytes[wire_dtype_index(wire)] +=
+  ring.adopt(ring.seg(0));
+  ring_allgather(self, ring, /*close=*/true);
+  self.stats_.allgather_wire_bytes[wire_dtype_index(ring.wire)] +=
       self.stats_.bytes_sent - sent_before;
   do_barrier();
 }

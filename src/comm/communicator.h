@@ -3,10 +3,24 @@
 // This substitutes for MPI + NCCL in the paper's Horovod stack: every MPI
 // rank is a thread of one process, and the collectives move real bytes
 // between per-rank buffers using the same algorithms the real libraries use
-// (ring allreduce as in NCCL/baidu-allreduce, binomial-tree broadcast as in
+// (ring allreduce as in NCCL/baidu-allreduce, the two-level intra-node /
+// inter-node reduction NCCL runs on Summit, binomial-tree broadcast as in
 // MPI_Bcast). Collectives are synchronized with a phase barrier; the
 // algorithms are lock-free between barriers because every rank writes only
-// its own buffer.
+// its own buffers.
+//
+// Every reduction and gather is built from three primitives, each
+// parameterized by a wire codec (wire_codec.h):
+//  - the ring reduce-scatter hop loop and
+//  - the ring allgather hop loop, over any ring (the whole world, or the
+//    node leaders), segment granularity and ownership offset;
+//  - the group pair: reduce onto a root, then copy from the root.
+// The ring allreduce is reduce-scatter + allgather; the public
+// reduce_scatter/allgather are the same loops with rank r owning segment r;
+// the hierarchical allreduce is a group reduce per node, the ring over the
+// node leaders, and a group copy; kNaive is its one-node case. fp32 is the
+// identity codec: a rank's own fp32 buffer is its wire image, so the fp32
+// collectives encode nothing and stay bit-exact.
 //
 // Usage:
 //   comm::World::run(4, [](comm::Communicator& c) {
@@ -33,7 +47,7 @@ namespace candle::comm {
 /// Reduction algorithm selection.
 enum class AllreduceAlgo {
   kRing,          // NCCL-style ring: 2(P-1)/P * N data volume per rank
-  kNaive,         // gather-to-root + broadcast (reference implementation)
+  kNaive,         // reduce to rank 0 + copy back: the one-node hierarchical
   kHierarchical,  // two-level: intra-node reduce, inter-node ring over node
                   // leaders, intra-node broadcast (NCCL on Summit's
                   // NVLink-within/IB-between topology)
@@ -78,7 +92,8 @@ struct CommStats {
   /// by dtype (also counted in bytes_sent). The ring formulas are exact
   /// and asserted in test_comm.cpp: with P ranks and n elements divisible
   /// by P, each rank moves (P-1) * n/P elements per call. The concat-style
-  /// allgather overload counts its fp32 copies here too.
+  /// allgather overload is the in-place ring allgather over its
+  /// contributions, so it charges (P-1) * contribution bytes here too.
   std::array<std::size_t, kNumWireDtypes> reduce_scatter_wire_bytes{};
   std::array<std::size_t, kNumWireDtypes> allgather_wire_bytes{};
 
@@ -200,11 +215,17 @@ class Communicator {
   /// Persistent per-rank staging for compressed collectives: the wire
   /// image peers read — n 16-bit words for fp16/bf16, or the planar
   /// [scales | int8 payload] image for int8 (wire_codec.h), sized by
-  /// wire::wire_image_scratch_elems. Incoming segments need no fp32
-  /// landing zone — the fused decode_add kernels accumulate straight into
-  /// the master buffer in one pass. Reused across calls so steady-state
-  /// training does not allocate per bucket. Same serialization as seq_.
+  /// wire::wire_image_scratch_elems. fp32 needs none: the buffer itself is
+  /// the image. Incoming segments need no fp32 landing zone — the fused
+  /// decode_add kernels accumulate straight into the master buffer in one
+  /// pass. Grows only, so steady-state training does not allocate per
+  /// bucket. Same serialization as seq_.
   std::vector<std::uint16_t> wire_scratch_;
+
+  std::uint16_t* scratch(std::size_t elems) {
+    if (wire_scratch_.size() < elems) wire_scratch_.resize(elems);
+    return wire_scratch_.data();
+  }
 };
 
 /// World configuration.
@@ -254,82 +275,82 @@ class World {
 
  private:
   friend class Communicator;
+  struct Ring;  // one ring as a rank sees it (communicator.cpp)
 
   void do_barrier();
+
+  // Collectives. Each bumps the rank's sequence number, publishes its entry
+  // images, meets the others at the rendezvous, runs its primitives, and
+  // ends on a barrier so no peer still reads a buffer the caller reuses.
   void allreduce(Communicator& self, std::span<float> data, bool average,
                  WireDtype wire);
-  void allreduce_ring(Communicator& self, std::span<float> data);
-  void allreduce_naive(Communicator& self, std::span<float> data);
-
-  // Compressed (fp16/bf16/int8 wire) variants. Same barrier/segment
-  // schedule as their fp32 twins; peers read wire images instead of fp32
-  // and each rank accumulates decoded segments into its own fp32 buffer.
-  void allreduce_ring_compressed(Communicator& self, std::span<float> data,
-                                 WireDtype wire);
-  void allreduce_naive_compressed(Communicator& self, std::span<float> data,
-                                  WireDtype wire);
-
-  // Hierarchical handles all four combinations of plain/compressed
-  // inter-node ring (`wire`) x plain/compressed intra-node legs
-  // (`local_wire`); both kFp32 reproduces the exact two-level reduction
-  // bit-identically.
-  void allreduce_hierarchical(Communicator& self, std::span<float> data,
-                              WireDtype wire, WireDtype local_wire);
+  void allreduce_two_level(Communicator& self, std::span<float> data,
+                           std::uint64_t seq, WireDtype wire,
+                           WireDtype local_wire, std::size_t ranks_per_node);
   void do_broadcast(Communicator& self, std::span<float> data,
                     std::size_t root);
   void do_reduce_to(Communicator& self, std::span<float> data,
                     std::size_t root);
-  void do_allgather(Communicator& self, std::span<const float> contribution,
-                    std::vector<float>& gathered);
-
-  // Standalone ring collectives (the allreduce ring's two phases promoted
-  // to public primitives; see communicator.cpp for the shifted segment
-  // schedule that makes rank r own segment r). Each handles both the fp32
-  // and the compressed wire path.
   void do_reduce_scatter(Communicator& self, std::span<float> data,
                          WireDtype wire, std::size_t granularity);
   void do_allgather_inplace(Communicator& self, std::span<float> data,
                             WireDtype wire, std::size_t granularity);
 
-  /// Registers `rank`'s buffer for the collective that is about to start,
-  /// tagged with the rank's collective sequence number, the op name, and
-  /// the requested wire dtype (with the rank's 16-bit wire image when the
-  /// dtype is compressed). Must be followed by a barrier before any peer
-  /// reads it.
-  void register_buffer(std::size_t rank, float* data, std::size_t count,
-                       std::uint64_t seq, const char* op,
-                       WireDtype wire = WireDtype::kFp32,
-                       std::uint16_t* wire_buf = nullptr,
-                       std::size_t granularity = 1)
-      CANDLE_EXCLUDES(reg_mutex_);
-  void register_const_buffer(std::size_t rank, const float* data,
-                             std::size_t count, std::uint64_t seq,
-                             const char* op) CANDLE_EXCLUDES(reg_mutex_);
+  /// The world ring: rank r reads from rank r-1 and, after the
+  /// reduce-scatter, owns segment r + offset (1 for the allreduce, the
+  /// NCCL schedule; 0 for the public reduce_scatter / allgather).
+  /// Checks `granularity` against the buffer (errors name `op`) and sizes
+  /// this rank's wire scratch; a one-rank world always uses kFp32.
+  Ring world_ring(Communicator& self, std::span<float> data, WireDtype wire,
+                  std::size_t offset, std::size_t granularity, const char* op);
 
-  /// Pointer `rank` registered for the current collective. The returned
-  /// payload may only be dereferenced in barrier phases where `rank` is not
-  /// writing the same segment.
-  [[nodiscard]] float* peer_buffer(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] const float* peer_const_buffer(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] std::size_t peer_count(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
-  [[nodiscard]] std::uint16_t* peer_wire_buffer(std::size_t rank) const
-      CANDLE_EXCLUDES(reg_mutex_);
+  // The three primitives. The codec is a parameter: with kFp32 a hop adds
+  // or copies the peer's fp32 buffer directly, so no fp32 path pays for a
+  // scratch buffer, a copy or a barrier the compressed path needs.
 
-  /// Throws CommError unless every rank registered `count` elements for
-  /// the same op at the same collective sequence number with the same wire
-  /// dtype. The sequence/op check is what makes per-bucket collectives from
-  /// an overlap comm thread safe to reason about: any divergence in the
-  /// global collective order across ranks (or a bucket interleaving across
-  /// steps) is reported as an error at the rendezvous instead of corrupting
-  /// a reduction; the dtype check catches ranks disagreeing about whether a
-  /// bucket crosses the wire compressed, and the granularity check catches
-  /// ranks disagreeing about segment boundaries (reduce_scatter/allgather).
-  void check_rendezvous(std::size_t count, std::uint64_t seq, const char* op,
-                        WireDtype wire = WireDtype::kFp32,
-                        std::size_t granularity = 1) const
+  /// Ring reduce-scatter: size-1 hops, each followed by a barrier. The last
+  /// hop re-encodes the owned segment only if `reencode_last` (an allgather
+  /// of the images follows).
+  void ring_reduce_scatter(Communicator& self, const Ring& ring,
+                           bool reencode_last);
+  /// Ring allgather: size-1 hops with a barrier between consecutive hops,
+  /// and after the last one too if `close`. The hierarchical leader ring
+  /// leaves that one to the group copy, whose root publishes before it.
+  void ring_allgather(Communicator& self, const Ring& ring, bool close);
+  /// Group reduce: `root` decode-adds the whole image of every other rank
+  /// in [first, end), in rank order. No barrier: the caller's next one
+  /// publishes the sum.
+  void group_reduce(Communicator& self, std::span<float> data,
+                    std::size_t first, std::size_t end, std::size_t root,
+                    WireDtype wire);
+  /// Group copy: `root` encodes its buffer into `mine`, and after a barrier
+  /// every other rank decodes it while the root adopts it; ends on a
+  /// barrier.
+  void group_copy(Communicator& self, std::span<float> data,
+                  std::size_t root, WireDtype wire, void* mine);
+
+  /// Registers this rank's buffer and wire scratch for the collective about
+  /// to start, tagged with its sequence number, op name, wire dtype and
+  /// segment granularity; waits for every rank; then throws CommError
+  /// unless all of them registered the same op at the same sequence number
+  /// with the same element count, dtype and granularity. The sequence/op
+  /// check is what makes per-bucket collectives from an overlap comm thread
+  /// safe to reason about: any divergence in the global collective order
+  /// across ranks (or a bucket interleaving across steps) is reported as an
+  /// error at the rendezvous instead of corrupting a reduction; the dtype
+  /// check catches ranks disagreeing about whether a bucket crosses the
+  /// wire compressed, and the granularity check catches ranks disagreeing
+  /// about segment boundaries (reduce_scatter/allgather).
+  void rendezvous(Communicator& self, std::span<float> data,
+                  std::uint64_t seq, const char* op,
+                  WireDtype wire = WireDtype::kFp32,
+                  std::size_t granularity = 1) CANDLE_EXCLUDES(reg_mutex_);
+
+  /// `rank`'s wire image for the current collective: its fp32 buffer for
+  /// kFp32, else `at` words into its wire scratch. May only be read in
+  /// barrier phases where `rank` is not writing the same range.
+  [[nodiscard]] const void* peer_image(std::size_t rank, WireDtype wire,
+                                       std::size_t at) const
       CANDLE_EXCLUDES(reg_mutex_);
 
   std::size_t size_;
@@ -338,14 +359,17 @@ class World {
   mutable AnnotatedMutex reg_mutex_{
       CANDLE_LOCK_LEVEL(lock_order::level::kCommRendezvous),
       "comm::World::reg_mutex_"};
-  std::vector<float*> bufs_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<const float*> const_bufs_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<std::uint16_t*> wire_bufs_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<std::size_t> counts_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<std::uint64_t> seqs_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<const char*> ops_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<WireDtype> dtypes_ CANDLE_GUARDED_BY(reg_mutex_);
-  std::vector<std::size_t> grans_ CANDLE_GUARDED_BY(reg_mutex_);
+  /// What one rank registered for the current collective.
+  struct Registration {
+    float* data = nullptr;
+    std::uint16_t* scratch = nullptr;  // its wire scratch
+    std::size_t count = 0;
+    std::uint64_t seq = 0;
+    const char* op = nullptr;
+    WireDtype wire = WireDtype::kFp32;
+    std::size_t granularity = 1;
+  };
+  std::vector<Registration> regs_ CANDLE_GUARDED_BY(reg_mutex_);
 };
 
 }  // namespace candle::comm

@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "comm/communicator.h"
 #include "common/error.h"
@@ -1066,6 +1069,203 @@ TEST(ReduceScatter, DeterministicAcrossRuns) {
         << "rank " << r;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Cross-version golden digests
+// ---------------------------------------------------------------------------
+//
+// Every collective's output bits and every per-rank CommStats counter,
+// FNV-1a-digested over seeded normal data. The exactness tests above use
+// small integers that sum exactly in any order, and the random-data
+// comparisons allow a tolerance, so neither would notice a change in the
+// order a segment is summed in, in where a compressed hop re-encodes, or in
+// what a collective charges. These digests do: a refactor of the
+// collectives must reproduce them bit for bit. They were recorded on an
+// x86-64 host; the codec's scalar and AVX2 kernels are bit-identical, so
+// they do not depend on the dispatch.
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void bytes(const void* p, std::size_t len) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void floats(std::span<const float> v) { bytes(v.data(), v.size_bytes()); }
+  void stats(const CommStats& s) {
+    for (std::size_t v :
+         {s.allreduce_calls, s.broadcast_calls, s.reduce_calls,
+          s.allgather_calls, s.reduce_scatter_calls, s.barrier_calls,
+          s.bytes_sent})
+      u64(v);
+    for (const auto& per_algo : s.allreduce_wire_bytes)
+      for (std::size_t v : per_algo) u64(v);
+    for (std::size_t v : s.reduce_scatter_wire_bytes) u64(v);
+    for (std::size_t v : s.allgather_wire_bytes) u64(v);
+  }
+};
+
+enum class GoldenOp {
+  kAllreduce,              // sum + average, every wire dtype
+  kReduceScatterAllgather, // reduce_scatter then in-place allgather
+  kReduceTo,               // reduce_sum_to at root 0 and root P-1
+  kConcatAllgather,        // allgather(span<const float>, vector&)
+  kBroadcast,              // broadcast at roots P/2 and P-1
+};
+
+struct GoldenCase {
+  const char* name;
+  std::uint64_t digest;
+  GoldenOp op;
+  AllreduceAlgo algo = AllreduceAlgo::kRing;
+  std::size_t ranks_per_node = 6;
+  WireDtype local_wire = WireDtype::kFp32;
+  std::size_t granularity = 1;
+};
+
+void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.name; }
+
+constexpr WireDtype kGoldenDtypes[] = {WireDtype::kFp32, WireDtype::kFp16,
+                                       WireDtype::kBf16, WireDtype::kInt8};
+constexpr std::size_t kGoldenSizes[] = {0, 1, 3, 97, 256, 257, 1000};
+
+// Seeded standard-normal data (Irwin-Hall: twelve uniforms minus six).
+// Exact integer-derived arithmetic, unlike Rng::normal's log/sin/cos, so the
+// inputs are the same bits with any libm.
+std::vector<float> golden_data(std::size_t ranks, std::size_t n,
+                               std::size_t salt, std::size_t rank) {
+  Rng rng(Rng(1'000'003 * ranks + 10'007 * n + salt).fork(rank));
+  std::vector<float> v(n);
+  for (float& x : v) {
+    double sum = -6.0;
+    for (int k = 0; k < 12; ++k) sum += rng.uniform();
+    x = static_cast<float>(sum);
+  }
+  return v;
+}
+
+// Runs one case at world size `ranks`; returns the rank-ordered digest.
+std::uint64_t golden_world(const GoldenCase& gc, std::size_t ranks) {
+  WorldOptions opt;
+  opt.allreduce_algo = gc.algo;
+  opt.ranks_per_node = gc.ranks_per_node;
+  opt.local_wire_dtype = gc.local_wire;
+  std::vector<std::uint64_t> per_rank(ranks);
+  World::run(
+      ranks,
+      [&](Communicator& c) {
+        Fnv1a f;
+        const std::size_t r = c.rank();
+        auto record = [&](std::span<const float> out) {
+          f.floats(out);
+          f.stats(c.stats());
+        };
+        for (std::size_t n : kGoldenSizes) {
+          switch (gc.op) {
+            case GoldenOp::kAllreduce:
+              for (WireDtype d : kGoldenDtypes) {
+                auto sum = golden_data(ranks, n, wire_dtype_index(d), r);
+                c.allreduce_sum(sum, d);
+                record(sum);
+                auto avg = golden_data(ranks, n, 4 + wire_dtype_index(d), r);
+                c.allreduce_average(avg, d);
+                record(avg);
+              }
+              break;
+            case GoldenOp::kReduceScatterAllgather:
+              for (WireDtype d : kGoldenDtypes) {
+                auto v = golden_data(ranks, n * gc.granularity,
+                                     wire_dtype_index(d), r);
+                c.reduce_scatter(v, d, gc.granularity);
+                record(v);
+                c.allgather(v, d, gc.granularity);
+                record(v);
+              }
+              break;
+            case GoldenOp::kReduceTo:
+              for (std::size_t root : {std::size_t{0}, ranks - 1}) {
+                auto v = golden_data(ranks, n, root, r);
+                c.reduce_sum_to(v, root);
+                record(v);
+              }
+              break;
+            case GoldenOp::kConcatAllgather: {
+              // n = 0 contributes nothing: a zero-length gather.
+              const auto mine = golden_data(ranks, n, 0, r);
+              std::vector<float> all{-1.0f};
+              c.allgather(mine, all);
+              record(all);
+              break;
+            }
+            case GoldenOp::kBroadcast:
+              for (std::size_t root : {ranks / 2, ranks - 1}) {
+                auto v = golden_data(ranks, n, root, r);
+                c.broadcast(v, root);
+                record(v);
+              }
+              break;
+          }
+        }
+        per_rank[r] = f.h;
+      },
+      opt);
+  Fnv1a all;
+  for (std::uint64_t h : per_rank) all.u64(h);
+  return all.h;
+}
+
+class CommGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(CommGolden, OutputsAndCountersMatchRecordedDigest) {
+  const GoldenCase& gc = GetParam();
+  Fnv1a all;
+  for (std::size_t ranks : {1u, 2u, 3u, 4u, 5u, 7u, 13u})
+    all.u64(golden_world(gc, ranks));
+  char got[32];
+  std::snprintf(got, sizeof got, "0x%016llxull",
+                static_cast<unsigned long long>(all.h));
+  EXPECT_EQ(all.h, gc.digest) << gc.name << " digest is " << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, CommGolden,
+    ::testing::Values(
+        GoldenCase{"ring", 0xee78429172035b16ull, GoldenOp::kAllreduce,
+                   AllreduceAlgo::kRing},
+        GoldenCase{"naive", 0xc576d166d0d905f3ull, GoldenOp::kAllreduce,
+                   AllreduceAlgo::kNaive},
+        GoldenCase{"hier_rpn2", 0xb5b8afdf644d6ee8ull, GoldenOp::kAllreduce,
+                   AllreduceAlgo::kHierarchical, 2},
+        GoldenCase{"hier_rpn3", 0xe124633e86c1bdd1ull, GoldenOp::kAllreduce,
+                   AllreduceAlgo::kHierarchical, 3},
+        GoldenCase{"hier_rpn6", 0x08c097fc1b3548c2ull, GoldenOp::kAllreduce,
+                   AllreduceAlgo::kHierarchical, 6},
+        GoldenCase{"hier_rpn2_local_int8", 0x32d94069ac4e7332ull,
+                   GoldenOp::kAllreduce, AllreduceAlgo::kHierarchical, 2,
+                   WireDtype::kInt8},
+        GoldenCase{"hier_rpn3_local_int8", 0x1666a3e86e441ca8ull,
+                   GoldenOp::kAllreduce, AllreduceAlgo::kHierarchical, 3,
+                   WireDtype::kInt8},
+        GoldenCase{"hier_rpn6_local_int8", 0x4cc785d6e583f253ull,
+                   GoldenOp::kAllreduce, AllreduceAlgo::kHierarchical, 6,
+                   WireDtype::kInt8},
+        GoldenCase{"reduce_scatter_allgather_g1", 0x5e8f359ff833af69ull,
+                   GoldenOp::kReduceScatterAllgather},
+        GoldenCase{"reduce_scatter_allgather_g3", 0xcd8b0518ef0a3f46ull,
+                   GoldenOp::kReduceScatterAllgather, AllreduceAlgo::kRing,
+                   6, WireDtype::kFp32, 3},
+        GoldenCase{"reduce_sum_to", 0x7fc7365941792368ull,
+                   GoldenOp::kReduceTo},
+        GoldenCase{"concat_allgather", 0x95f62535b398553full,
+                   GoldenOp::kConcatAllgather},
+        GoldenCase{"broadcast", 0x0654c1acc235a36eull,
+                   GoldenOp::kBroadcast}),
+    [](const ::testing::TestParamInfo<GoldenCase>& row) {
+      return std::string(row.param.name);
+    });
 
 // Parameterized stress: repeated mixed collectives stay consistent.
 class CollectiveStress : public ::testing::TestWithParam<std::size_t> {};
