@@ -5,6 +5,7 @@
 //   CANDLE_NUM_THREADS=4 build/bench/bench_micro_csv
 //     --benchmark_filter=Parallel --benchmark_out=BENCH_parallel_csv.json
 //     --benchmark_out_format=json
+// CI runs every reader's rows with --benchmark_filter=Read (non-gating).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>

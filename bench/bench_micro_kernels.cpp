@@ -336,26 +336,38 @@ void BM_SoftmaxRows(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(softmax_rows(x));
 }
 
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->MinTime(0.4);
+// Every row whose kernel runs on the candle::parallel pool reports wall
+// time (UseRealTime): the main thread waits while the workers compute, so
+// its CPU time would overstate the rate. The rows that never touch the
+// pool (GemmNaive, SmokeGemmNaive, SmokeConv1dNaive, MaxPool) keep CPU
+// time.
+BENCHMARK(BM_Gemm)
+    ->Arg(64)->Arg(128)->Arg(256)->Arg(512)->MinTime(0.4)->UseRealTime();
 BENCHMARK(BM_GemmNaive)->Arg(256)->Arg(512)->MinTime(0.4);
-BENCHMARK(BM_GemmTn)->Arg(256)->MinTime(0.4);
-BENCHMARK(BM_GemmNt)->Arg(256)->MinTime(0.4);
-BENCHMARK(BM_DenseP1B1)->MinTime(1.0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DenseP1B1Naive)->MinTime(1.0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmTn)->Arg(256)->MinTime(0.4)->UseRealTime();
+BENCHMARK(BM_GemmNt)->Arg(256)->MinTime(0.4)->UseRealTime();
+BENCHMARK(BM_DenseP1B1)
+    ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_DenseP1B1Naive)
+    ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_DenseP1B1Threads)
     ->THREAD_SWEEP()->MinTime(1.0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Conv1dNT3)->MinTime(1.0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Conv1dNT3Naive)->MinTime(1.0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv1dNT3)
+    ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Conv1dNT3Naive)
+    ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_Conv1dNT3Threads)
     ->THREAD_SWEEP()->MinTime(1.0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Conv1dNT3Backward)->MinTime(1.0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv1dNT3Backward)
+    ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_GemmThreads)->THREAD_SWEEP()->MinTime(0.4);
-BENCHMARK(BM_SmokeGemm)->MinTime(0.2);
+BENCHMARK(BM_SmokeGemm)->MinTime(0.2)->UseRealTime();
 BENCHMARK(BM_SmokeGemmNaive)->MinTime(0.2);
-BENCHMARK(BM_SmokeConv1d)->MinTime(0.2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SmokeConv1d)
+    ->MinTime(0.2)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SmokeConv1dNaive)->MinTime(0.2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MaxPool)->Arg(4096)->MinTime(0.4);
-BENCHMARK(BM_SoftmaxRows)->Arg(1024)->MinTime(0.4);
+BENCHMARK(BM_SoftmaxRows)->Arg(1024)->MinTime(0.4)->UseRealTime();
 
 }  // namespace
 

@@ -191,14 +191,10 @@ RealRunResult run_real(const RealRunConfig& config) {
         if (!preshard && config.level == sim::ParallelLevel::kBatchStep &&
             config.ranks > 1) {
           // Batch-step-level parallelism (Fig 3): rank r trains on rows
-          // r, r+P, 2P+r, ... Equal shard sizes (floor(S/P)) keep every
-          // rank's step count identical, which the synchronous allreduce
-          // requires.
-          const std::size_t shard = train.size() / config.ranks;
-          require(shard >= 1, "run_real: dataset smaller than rank count");
-          std::vector<std::size_t> mine(shard);
-          for (std::size_t i = 0; i < shard; ++i)
-            mine[i] = i * config.ranks + ctx.rank();
+          // r, r+P, 2P+r, ... in equal shards, so every rank's step count
+          // matches, which the synchronous allreduce requires.
+          const std::vector<std::size_t> mine =
+              io::shard_rows(train.size(), ctx.rank(), config.ranks);
           train = nn::Dataset{nn::gather_rows(train.x, mine),
                               nn::gather_rows(train.y, mine)};
         }

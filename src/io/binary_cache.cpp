@@ -1,9 +1,13 @@
 #include "io/binary_cache.h"
 
+#include <sys/stat.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <thread>
 
 #include "common/error.h"
@@ -27,16 +31,33 @@ std::uint64_t fnv1a(const unsigned char* p, std::size_t n,
 /// Window hashed at each end of the source file.
 constexpr std::size_t kHashWindowBytes = 4 * 1024;
 
-/// Reads just the header; returns false on missing/short/invalid file.
+/// Owning FILE handle.
+using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
+
+FilePtr open_file(const std::string& path) {
+  return {std::fopen(path.c_str(), "rb"), &std::fclose};
+}
+
+/// Reads the header of `f` and validates it against the file's size.
+FrameCacheHeader read_checked_header(std::FILE* f, const std::string& path) {
+  FrameCacheHeader h{};
+  struct stat st{};
+  if (std::fread(&h, sizeof(h), 1, f) != 1 || ::fstat(::fileno(f), &st) != 0)
+    throw IoError("frame cache: truncated header in " + path);
+  check_header(h, static_cast<std::uint64_t>(st.st_size), path);
+  return h;
+}
+
+/// Reads just the header; returns false on a missing or invalid file.
 bool read_header(const std::string& path, FrameCacheHeader& h) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const FilePtr f = open_file(path);
   if (f == nullptr) return false;
-  const bool ok =
-      std::fread(&h, sizeof(h), 1, f) == 1 &&
-      std::memcmp(h.magic, kFrameCacheMagic, sizeof(kFrameCacheMagic)) == 0 &&
-      h.payload_offset == kFrameCachePayloadOffset;
-  std::fclose(f);
-  return ok;
+  try {
+    h = read_checked_header(f.get(), path);
+    return true;
+  } catch (const IoError&) {
+    return false;
+  }
 }
 
 void write_frame(const DataFrame& df, const std::string& path,
@@ -89,20 +110,32 @@ void fill_hit_stats(CsvReadStats* stats, const Stopwatch& watch,
   stats->piece_allocs = 0;
 }
 
-/// Row indices of rank `rank`'s shard: rank, rank + world, ... with equal
-/// floor(rows / world) entries per rank.
-std::vector<std::size_t> shard_rows(std::size_t rows, std::size_t rank,
-                                    std::size_t world) {
-  require(world > 0, "read_csv_cached_sharded: world must be > 0");
-  require(rank < world, "read_csv_cached_sharded: rank out of range");
-  require(rows >= world, "read_csv_cached_sharded: fewer rows than ranks");
-  const std::size_t shard = rows / world;
-  std::vector<std::size_t> mine(shard);
-  for (std::size_t i = 0; i < shard; ++i) mine[i] = i * world + rank;
-  return mine;
+}  // namespace
+
+void check_header(const FrameCacheHeader& h, std::uint64_t file_bytes,
+                  const std::string& path) {
+  if (std::memcmp(h.magic, kFrameCacheMagic, sizeof(kFrameCacheMagic)) != 0 ||
+      h.payload_offset != kFrameCachePayloadOffset)
+    throw IoError("frame cache: not a v2 frame cache: " + path);
+  // rows * cols * sizeof(float) must not wrap: a wrapped product could
+  // match the file size while rows() points far past the payload.
+  constexpr std::uint64_t kMaxFloats =
+      std::numeric_limits<std::uint64_t>::max() / sizeof(float);
+  const bool fits = h.rows > 0 && h.cols > 0 && h.cols <= kMaxFloats / h.rows;
+  if (!fits || file_bytes < kFrameCachePayloadOffset ||
+      file_bytes - kFrameCachePayloadOffset != h.rows * h.cols * sizeof(float))
+    throw IoError("frame cache: payload size mismatch in " + path);
 }
 
-}  // namespace
+std::vector<std::size_t> shard_rows(std::size_t rows, std::size_t rank,
+                                    std::size_t world) {
+  require(world > 0, "shard_rows: world must be > 0");
+  require(rank < world, "shard_rows: rank out of range");
+  require(rows >= world, "shard_rows: fewer rows than ranks");
+  std::vector<std::size_t> mine(rows / world);
+  for (std::size_t i = 0; i < mine.size(); ++i) mine[i] = i * world + rank;
+  return mine;
+}
 
 SourceFingerprint fingerprint_source(const std::string& path) {
   SourceFingerprint fp;
@@ -140,26 +173,18 @@ void save_frame(const DataFrame& df, const std::string& path) {
 
 DataFrame load_frame(const std::string& path, CsvReadStats* stats) {
   Stopwatch watch;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const FilePtr f = open_file(path);
   if (f == nullptr) throw IoError("load_frame: cannot open " + path);
-  FrameCacheHeader h{};
-  if (std::fread(&h, sizeof(h), 1, f) != 1) {
-    std::fclose(f);
-    throw IoError("load_frame: truncated header in " + path);
-  }
-  if (std::memcmp(h.magic, kFrameCacheMagic, sizeof(kFrameCacheMagic)) != 0 ||
-      h.payload_offset != kFrameCachePayloadOffset) {
-    std::fclose(f);
-    throw IoError("load_frame: not a v2 frame cache: " + path);
-  }
+  const FrameCacheHeader h = read_checked_header(f.get(), path);
   DataFrame df;
   df.rows = h.rows;
   df.cols = h.cols;
   df.data.resize(df.rows * df.cols);
-  bool ok = std::fseek(f, static_cast<long>(h.payload_offset), SEEK_SET) == 0;
-  ok = ok && std::fread(df.data.data(), sizeof(float), df.data.size(), f) ==
-                 df.data.size();
-  std::fclose(f);
+  const bool ok =
+      std::fseek(f.get(), static_cast<long>(h.payload_offset), SEEK_SET) ==
+          0 &&
+      std::fread(df.data.data(), sizeof(float), df.data.size(), f.get()) ==
+          df.data.size();
   if (!ok) throw IoError("load_frame: truncated payload in " + path);
   fill_hit_stats(stats, watch, df.data.size() * sizeof(float), df.rows,
                  df.cols);
@@ -211,15 +236,8 @@ DataFrame read_csv_cached_sharded(const std::string& csv_path,
   Stopwatch watch;
   DataFrame df = read_csv(csv_path, loader, stats);
   write_frame(df, cache, fp);
-  const std::vector<std::size_t> mine = shard_rows(df.rows, rank, world);
-  DataFrame shard;
-  shard.rows = mine.size();
-  shard.cols = df.cols;
-  shard.data.resize(shard.rows * shard.cols);
-  for (std::size_t i = 0; i < mine.size(); ++i)
-    std::memcpy(shard.data.data() + i * shard.cols,
-                df.data.data() + mine[i] * df.cols,
-                shard.cols * sizeof(float));
+  DataFrame shard = copy_rows(df.data.data(), df.rows, df.cols,
+                              shard_rows(df.rows, rank, world));
   if (stats != nullptr) {
     stats->seconds = watch.seconds();  // parse + cache build + gather
     stats->rows = shard.rows;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "io/csv_reader.h"
 #include "io/dataframe.h"
@@ -49,6 +50,12 @@ struct FrameCacheHeader {
 static_assert(sizeof(FrameCacheHeader) <= kFrameCachePayloadOffset,
               "header must fit before the payload");
 
+/// The one CFR2 header check: magic, payload offset, a non-empty frame
+/// whose rows * cols * sizeof(float) payload does not overflow, and
+/// payload offset + payload == `file_bytes`. Throws IoError naming `path`.
+void check_header(const FrameCacheHeader& h, std::uint64_t file_bytes,
+                  const std::string& path);
+
 /// Content fingerprint of a source CSV used for cache validation.
 struct SourceFingerprint {
   std::uint64_t bytes = 0;     // file size
@@ -67,7 +74,7 @@ void save_frame(const DataFrame& df, const std::string& path);
 /// old-format (non-CFR2) magic.
 DataFrame load_frame(const std::string& path, CsvReadStats* stats = nullptr);
 
-/// True when `path` exists and has a valid v2 cache header.
+/// True when `path` exists and passes check_header.
 bool is_cached_frame(const std::string& path);
 
 /// Loads `csv_path` through the cache: on a cache hit (cache file exists
@@ -92,6 +99,13 @@ DataFrame read_csv_cached_sharded(const std::string& csv_path,
                                   std::size_t rank, std::size_t world,
                                   LoaderKind loader = LoaderKind::kChunked,
                                   CsvReadStats* stats = nullptr);
+
+/// The batch-step shard rule: rank `rank` of `world` owns rows rank,
+/// rank + world, ... — exactly floor(rows / world) of them, so every rank
+/// steps the same number of batches. Throws InvalidArgument when `world`
+/// is 0, `rank` >= `world` or `rows` < `world`.
+std::vector<std::size_t> shard_rows(std::size_t rows, std::size_t rank,
+                                    std::size_t world);
 
 /// Cache file path derived from a CSV path ("x.csv" -> "x.csv.bin").
 std::string cache_path_for(const std::string& csv_path);

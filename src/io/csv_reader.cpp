@@ -33,18 +33,16 @@ struct File {
   }
   File(const File&) = delete;
   File& operator=(const File&) = delete;
-};
 
-/// Fast float parse used by the optimized/dask paths.
-inline float parse_fast(const char* begin, const char* end) {
-  if (begin == end) return 0.0f;  // empty field == NaN -> 0
-  float v = 0.0f;
-  const auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || ptr != end)
-    throw IoError("read_csv: malformed numeric field '" +
-                  std::string(begin, end) + "'");
-  return v;
-}
+  /// Size in bytes; leaves the read position at the start.
+  [[nodiscard]] std::size_t size() const {
+    const bool at_end = std::fseek(f, 0, SEEK_END) == 0;
+    const long n = std::ftell(f);
+    if (!at_end || n < 0 || std::fseek(f, 0, SEEK_SET) != 0)
+      throw IoError("read_csv: cannot size file");
+    return static_cast<std::size_t>(n);
+  }
+};
 
 /// Float64 cell conversion for the original reader. The per-cell cost is
 /// deliberately the same as the fast path: pandas' C tokenizer converts
@@ -68,6 +66,141 @@ inline bool try_parse_int(const char* begin, const char* end,
   if (begin == end) return false;
   const auto [ptr, ec] = std::from_chars(begin, end, out);
   return ec == std::errc{} && ptr == end;
+}
+
+// ---------------------------------------------------------------------------
+// The CSV core of the chunked, Dask and parallel readers: one line rule,
+// one row tokenizer, one streaming line source and one whole-file read.
+// read_csv_original keeps its own tokenizer on purpose: it is the
+// independent reference these readers are checked against.
+// ---------------------------------------------------------------------------
+
+[[noreturn]] void throw_ragged(std::size_t got, std::size_t expected) {
+  throw IoError("read_csv: ragged row (got " + std::to_string(got) +
+                " fields, expected " + std::to_string(expected) + ")");
+}
+
+/// Field count of one line (the first row's count fixes the frame width).
+std::size_t count_fields(const char* begin, const char* end) {
+  return 1 + static_cast<std::size_t>(std::count(begin, end, ','));
+}
+
+/// Parses the field starting at `p` into `out` and returns where it stops:
+/// at the ',' that ends it, or at `end`. An empty field (NaN) is 0.
+inline const char* parse_fast(const char* p, const char* end, float& out) {
+  out = 0.0f;
+  if (p == end || *p == ',') return p;
+  const auto [stop, ec] = std::from_chars(p, end, out);
+  if (ec != std::errc{} || (stop != end && *stop != ','))
+    throw IoError("read_csv: malformed numeric field '" +
+                  std::string(p, std::find(p, end, ',')) + "'");
+  return stop;
+}
+
+/// The row tokenizer: parses the line [begin, end) into exactly `cols`
+/// floats at `out`; any other field count is a ragged row.
+void parse_row(const char* begin, const char* end, float* out,
+               std::size_t cols) {
+  const char* p = begin;
+  for (std::size_t c = 0; c < cols; ++c) {
+    p = parse_fast(p, end, out[c]);
+    if (p == end) {
+      if (c + 1 != cols) throw_ragged(c + 1, cols);
+      return;
+    }
+    ++p;  // past the ','
+  }
+  throw_ragged(cols + count_fields(p, end), cols);
+}
+
+/// Appends one parsed row to `df`. The first row fixes the column count
+/// unless the caller preset it.
+void append_row(DataFrame& df, const char* begin, const char* end) {
+  if (df.cols == 0) df.cols = count_fields(begin, end);
+  const std::size_t at = df.data.size();
+  df.data.resize(at + df.cols);
+  parse_row(begin, end, df.data.data() + at, df.cols);
+  ++df.rows;
+}
+
+/// The line rule for one line without its '\n': one trailing '\r' is
+/// dropped. A line left empty carries no row.
+inline const char* trim_cr(const char* begin, const char* end) {
+  return end > begin && end[-1] == '\r' ? end - 1 : end;
+}
+
+/// Calls row(begin, end) for every non-empty line of [p, end); the last
+/// line needs no '\n'.
+template <class RowFn>
+void for_each_line(const char* p, const char* end, RowFn&& row) {
+  while (p < end) {
+    const char* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* line_end = trim_cr(p, nl != nullptr ? nl : end);
+    if (line_end > p) row(p, line_end);
+    if (nl == nullptr) return;
+    p = nl + 1;
+  }
+}
+
+/// The streaming line source: reads `path` through one buffer of
+/// min(chunk_bytes, file size) bytes and hands every line to
+/// for_each_line. The unfinished line left by a read moves to the front of
+/// the buffer and the next fread lands right after it; a line longer than
+/// the buffer doubles it. Returns the bytes read; `reads` counts the
+/// freads that returned data.
+template <class RowFn>
+std::size_t stream_lines(const std::string& path, std::size_t chunk_bytes,
+                         std::size_t& reads, RowFn&& row) {
+  File file(path);
+  std::size_t cap = std::max<std::size_t>(
+      1, std::min(chunk_bytes, file.size()));
+  auto buf = std::make_unique_for_overwrite<char[]>(cap);
+  std::size_t carry = 0;
+  std::size_t total = 0;
+  while (true) {
+    if (carry == cap) {
+      auto bigger = std::make_unique_for_overwrite<char[]>(2 * cap);
+      std::memcpy(bigger.get(), buf.get(), carry);
+      buf = std::move(bigger);
+      cap *= 2;
+    }
+    const std::size_t n =
+        std::fread(buf.get() + carry, 1, cap - carry, file.f);
+    if (n == 0) break;
+    total += n;
+    ++reads;
+    // The carry holds no '\n', so the last one is among the fresh bytes.
+    const char* fresh = buf.get() + carry;
+    const char* end = fresh + n;
+    const char* tail = end;
+    while (tail > fresh && tail[-1] != '\n') --tail;
+    if (tail == fresh) {
+      carry += n;
+      continue;
+    }
+    for_each_line(buf.get(), tail - 1, row);
+    carry = static_cast<std::size_t>(end - tail);
+    std::memmove(buf.get(), tail, carry);
+  }
+  for_each_line(buf.get(), buf.get() + carry, row);
+  return total;
+}
+
+/// Whole-file read for the readers that index the text in place.
+std::string read_file(const std::string& path) {
+  File file(path);
+  std::string text(file.size(), '\0');
+  io_require(!text.empty(), "read_csv: empty file " + path);
+  if (std::fread(text.data(), 1, text.size(), file.f) != text.size())
+    throw IoError("read_csv: short read on " + path);
+  return text;
+}
+
+void fill_stats(CsvReadStats* stats, const Stopwatch& watch,
+                std::size_t bytes, const DataFrame& df, std::size_t chunks) {
+  if (stats != nullptr)
+    *stats = {watch.seconds(), bytes, df.rows, df.cols, chunks, 0};
 }
 
 }  // namespace
@@ -235,79 +368,13 @@ DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats,
                            std::size_t chunk_bytes) {
   require(chunk_bytes >= 4096, "read_csv_chunked: chunk must be >= 4 KiB");
   Stopwatch watch;
-  File file(path);
-
   DataFrame df;
-  std::size_t file_bytes = 0;
   std::size_t blocks = 0;
-
-  std::vector<char> buf(chunk_bytes);
-  std::string carry;
-  std::string text;
-
-  auto process_line = [&](const char* begin, const char* end) {
-    if (begin == end) return;
-    std::size_t c = 0;
-    const char* field = begin;
-    for (const char* p = begin; p <= end; ++p) {
-      if (p == end || *p == ',') {
-        df.data.push_back(parse_fast(field, p));
-        field = p + 1;
-        ++c;
-      }
-    }
-    if (df.cols == 0) {
-      df.cols = c;
-    } else {
-      io_require(c == df.cols,
-              "read_csv: ragged row (got " + std::to_string(c) +
-                  " fields, expected " + std::to_string(df.cols) + ")");
-    }
-    ++df.rows;
-  };
-
-  while (true) {
-    const std::size_t n = std::fread(buf.data(), 1, buf.size(), file.f);
-    file_bytes += n;
-    if (n == 0) break;
-    ++blocks;
-    text.assign(carry);
-    text.append(buf.data(), n);
-    carry.clear();
-    const std::size_t last_nl = text.rfind('\n');
-    if (last_nl == std::string::npos) {
-      carry = text;
-      continue;
-    }
-    carry.assign(text, last_nl + 1, std::string::npos);
-    const char* p = text.data();
-    const char* chunk_end = text.data() + last_nl;
-    while (p <= chunk_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(chunk_end - p + 1)));
-      if (nl == nullptr) nl = chunk_end;
-      const char* line_end = (nl > p && nl[-1] == '\r') ? nl - 1 : nl;
-      process_line(p, line_end);
-      p = nl + 1;
-    }
-  }
-  if (!carry.empty()) {
-    text.assign(carry);
-    const char* b = text.data();
-    const char* e = b + text.size();
-    if (e > b && e[-1] == '\r') --e;
-    process_line(b, e);
-  }
-
-  io_require(df.cols > 0 && df.rows > 0, "read_csv: empty file " + path);
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = blocks;
-    stats->piece_allocs = 0;
-  }
+  const std::size_t bytes =
+      stream_lines(path, chunk_bytes, blocks,
+                   [&](const char* b, const char* e) { append_row(df, b, e); });
+  io_require(df.rows > 0, "read_csv: empty file " + path);
+  fill_stats(stats, watch, bytes, df, blocks);
   return df;
 }
 
@@ -319,19 +386,8 @@ DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats,
                         std::size_t segments) {
   require(segments > 0, "read_csv_dask: segments must be > 0");
   Stopwatch watch;
-
-  // Read the whole file (dask mmaps / reads byte ranges per partition).
-  std::string text;
-  {
-    File file(path);
-    std::fseek(file.f, 0, SEEK_END);
-    const long size = std::ftell(file.f);
-    io_require(size > 0, "read_csv: empty file " + path);
-    std::fseek(file.f, 0, SEEK_SET);
-    text.resize(static_cast<std::size_t>(size));
-    if (std::fread(text.data(), 1, text.size(), file.f) != text.size())
-      throw IoError("read_csv: short read on " + path);
-  }
+  // Dask mmaps / reads byte ranges per partition.
+  const std::string text = read_file(path);
 
   // Segment boundaries aligned to line starts.
   std::vector<std::size_t> bounds{0};
@@ -343,90 +399,46 @@ DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats,
   }
   bounds.push_back(text.size());
 
-  // Parse each partition into its own frame (fast parser), then concat.
+  // Parse each partition into its own frame, then concat: the extra copy
+  // is the cost this reader models. The file's first row fixes the width
+  // of every segment.
   std::vector<DataFrame> parts;
+  std::size_t cols = 0;
   for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
     DataFrame part;
-    const char* p = text.data() + bounds[s];
-    const char* seg_end = text.data() + bounds[s + 1];
-    while (p < seg_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(seg_end - p)));
-      const char* line_end = nl != nullptr ? nl : seg_end;
-      const char* trimmed = (line_end > p && line_end[-1] == '\r')
-                                ? line_end - 1
-                                : line_end;
-      if (trimmed > p) {
-        std::size_t c = 0;
-        const char* field = p;
-        for (const char* q = p; q <= trimmed; ++q) {
-          if (q == trimmed || *q == ',') {
-            part.data.push_back(parse_fast(field, q));
-            field = q + 1;
-            ++c;
-          }
-        }
-        if (part.cols == 0) {
-          part.cols = c;
-        } else {
-          io_require(c == part.cols, "read_csv: ragged row in dask segment");
-        }
-        ++part.rows;
-      }
-      if (nl == nullptr) break;
-      p = nl + 1;
-    }
+    part.cols = cols;
+    for_each_line(
+        text.data() + bounds[s], text.data() + bounds[s + 1],
+        [&](const char* b, const char* e) { append_row(part, b, e); });
+    cols = part.cols;
     if (part.rows > 0) parts.push_back(std::move(part));
   }
 
   io_require(!parts.empty(), "read_csv: no data parsed from " + path);
   DataFrame df;
-  df.cols = parts.front().cols;
-  for (const auto& part : parts) {
-    io_require(part.cols == df.cols, "read_csv: segment column mismatch");
-    df.rows += part.rows;
-  }
+  df.cols = cols;
+  for (const auto& part : parts) df.rows += part.rows;
   df.data.reserve(df.rows * df.cols);
   for (auto& part : parts)
     df.data.insert(df.data.end(), part.data.begin(), part.data.end());
-
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = text.size();
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = parts.size();
-    stats->piece_allocs = 0;
-  }
+  fill_stats(stats, watch, text.size(), df, parts.size());
   return df;
 }
 
 // ---------------------------------------------------------------------------
 // read_csv_parallel: the threaded two-phase extension of the chunked
 // reader. Phase 1 newline-indexes 16 MB blocks across the pool; phase 2
-// parses disjoint row ranges straight into the row-major frame. Every cell
-// goes through the same parse_fast as read_csv_chunked, so the resulting
-// frame is exactly equal for any thread count.
+// parses disjoint row ranges straight into the row-major frame with the
+// same row tokenizer, so the frame is exactly equal for any thread count.
 // ---------------------------------------------------------------------------
 
 DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
                             std::size_t block_bytes) {
   require(block_bytes >= 4096, "read_csv_parallel: block must be >= 4 KiB");
   Stopwatch watch;
-
   // One sequential read of the file; the parallelism is in the parsing,
   // which is where the chunked reader spends its time.
-  std::string text;
-  {
-    File file(path);
-    std::fseek(file.f, 0, SEEK_END);
-    const long size = std::ftell(file.f);
-    io_require(size > 0, "read_csv: empty file " + path);
-    std::fseek(file.f, 0, SEEK_SET);
-    text.resize(static_cast<std::size_t>(size));
-    if (std::fread(text.data(), 1, text.size(), file.f) != text.size())
-      throw IoError("read_csv: short read on " + path);
-  }
+  const std::string text = read_file(path);
 
   // Phase 1: per-block newline index. Blocks are disjoint byte ranges, so
   // each worker scans its own blocks with memchr; concatenating the block
@@ -451,31 +463,25 @@ DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
     }
   });
 
-  // Line table in file order: trim a trailing '\r' per line and drop blank
-  // lines, exactly as the chunked reader's process_line does.
-  std::vector<std::pair<std::size_t, std::size_t>> rows;
-  std::size_t line_start = 0;
-  auto add_line = [&](std::size_t begin, std::size_t end) {
-    if (end > begin && text[end - 1] == '\r') --end;
+  // Row table in file order under the core's line rule.
+  std::vector<std::pair<const char*, const char*>> rows;
+  auto add_line = [&](const char* begin, const char* end) {
+    end = trim_cr(begin, end);
     if (end > begin) rows.emplace_back(begin, end);
   };
+  const char* line = text.data();
   for (const auto& nls : block_newlines) {
     for (std::size_t nl : nls) {
-      add_line(line_start, nl);
-      line_start = nl + 1;
+      add_line(line, text.data() + nl);
+      line = text.data() + nl + 1;
     }
   }
-  if (line_start < text.size()) add_line(line_start, text.size());
+  add_line(line, text.data() + text.size());
   io_require(!rows.empty(), "read_csv: empty file " + path);
-
-  // Column count from the first row (one serial line scan).
-  std::size_t cols = 1;
-  for (std::size_t i = rows.front().first; i < rows.front().second; ++i)
-    if (text[i] == ',') ++cols;
 
   DataFrame df;
   df.rows = rows.size();
-  df.cols = cols;
+  df.cols = count_fields(rows.front().first, rows.front().second);
   df.data.resize(df.rows * df.cols);
 
   // Phase 2: parse disjoint row ranges directly into the final buffer.
@@ -484,138 +490,10 @@ DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
   float* out = df.data.data();
   parallel::parallel_for(0, rows.size(), 64, [&](std::size_t r0,
                                                  std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const char* begin = text.data() + rows[r].first;
-      const char* end = text.data() + rows[r].second;
-      float* cell = out + r * cols;
-      std::size_t c = 0;
-      const char* field = begin;
-      for (const char* p = begin; p <= end; ++p) {
-        if (p == end || *p == ',') {
-          io_require(c < cols,
-                     "read_csv: ragged row (got more fields than the " +
-                         std::to_string(cols) + " expected)");
-          cell[c++] = parse_fast(field, p);
-          field = p + 1;
-        }
-      }
-      io_require(c == cols,
-                 "read_csv: ragged row (got " + std::to_string(c) +
-                     " fields, expected " + std::to_string(cols) + ")");
-    }
+    for (std::size_t r = r0; r < r1; ++r)
+      parse_row(rows[r].first, rows[r].second, out + r * df.cols, df.cols);
   });
-
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = text.size();
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = blocks;
-    stats->piece_allocs = 0;
-  }
-  return df;
-}
-
-// ---------------------------------------------------------------------------
-// read_csv_selected: header skipping + column selection.
-// ---------------------------------------------------------------------------
-
-DataFrame read_csv_selected(const std::string& path, const CsvSelect& select,
-                            CsvReadStats* stats, std::size_t chunk_bytes) {
-  require(chunk_bytes >= 4096, "read_csv_selected: chunk must be >= 4 KiB");
-  Stopwatch watch;
-  File file(path);
-
-  // Sorted, validated selection mask.
-  std::vector<std::size_t> cols_wanted = select.usecols;
-  std::sort(cols_wanted.begin(), cols_wanted.end());
-  io_require(std::adjacent_find(cols_wanted.begin(), cols_wanted.end()) ==
-                 cols_wanted.end(),
-             "read_csv_selected: duplicate column in usecols");
-
-  DataFrame df;
-  std::size_t file_bytes = 0;
-  std::size_t file_cols = 0;   // columns in the file (before selection)
-  std::size_t line_no = 0;
-  std::vector<char> buf(chunk_bytes);
-  std::string carry;
-  std::string text;
-
-  auto process_line = [&](const char* begin, const char* end) {
-    if (begin == end) return;
-    if (line_no++ < select.skip_rows) return;
-    std::size_t c = 0;
-    std::size_t picked = 0;
-    const char* field = begin;
-    for (const char* p = begin; p <= end; ++p) {
-      if (p == end || *p == ',') {
-        const bool keep =
-            cols_wanted.empty() ||
-            (picked < cols_wanted.size() && cols_wanted[picked] == c);
-        if (keep) {
-          df.data.push_back(parse_fast(field, p));
-          ++picked;
-        }
-        field = p + 1;
-        ++c;
-      }
-    }
-    if (file_cols == 0) {
-      file_cols = c;
-      io_require(cols_wanted.empty() || cols_wanted.back() < c,
-                 "read_csv_selected: usecols index out of range (file has " +
-                     std::to_string(c) + " columns)");
-      df.cols = cols_wanted.empty() ? c : cols_wanted.size();
-    } else {
-      io_require(c == file_cols, "read_csv: ragged row (got " +
-                                     std::to_string(c) + " fields, expected " +
-                                     std::to_string(file_cols) + ")");
-    }
-    ++df.rows;
-  };
-
-  while (true) {
-    const std::size_t n = std::fread(buf.data(), 1, buf.size(), file.f);
-    file_bytes += n;
-    if (n == 0) break;
-    text.assign(carry);
-    text.append(buf.data(), n);
-    carry.clear();
-    const std::size_t last_nl = text.rfind('\n');
-    if (last_nl == std::string::npos) {
-      carry = text;
-      continue;
-    }
-    carry.assign(text, last_nl + 1, std::string::npos);
-    const char* p = text.data();
-    const char* chunk_end = text.data() + last_nl;
-    while (p <= chunk_end) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(p, '\n', static_cast<std::size_t>(chunk_end - p + 1)));
-      if (nl == nullptr) nl = chunk_end;
-      const char* line_end = (nl > p && nl[-1] == '\r') ? nl - 1 : nl;
-      process_line(p, line_end);
-      p = nl + 1;
-    }
-  }
-  if (!carry.empty()) {
-    text.assign(carry);
-    const char* b = text.data();
-    const char* e = b + text.size();
-    if (e > b && e[-1] == '\r') --e;
-    process_line(b, e);
-  }
-
-  io_require(df.cols > 0 && df.rows > 0,
-             "read_csv_selected: no data rows in " + path);
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = 1;
-    stats->piece_allocs = 0;
-  }
+  fill_stats(stats, watch, text.size(), df, blocks);
   return df;
 }
 

@@ -18,19 +18,35 @@
 //    re-inference and no concatenation.
 //
 //  * read_csv_dask — a Dask-DataFrame-like strategy: the file is split into
-//    row segments parsed independently with the fast parser into per-segment
-//    frames that are concatenated at the end. The paper found it faster
-//    than the original but slower than the 16 MB chunked reader.
+//    row segments parsed independently into per-segment frames that are
+//    concatenated at the end. The paper found it faster than the original
+//    but slower than the 16 MB chunked reader.
 //
 //  * read_csv_parallel — the threaded extension of the chunked reader
 //    (this repo's step beyond the paper): phase 1 indexes newlines per
 //    16 MB block across the candle::parallel pool, phase 2 parses disjoint
-//    row ranges with std::from_chars directly into the final row-major
-//    buffer. Cell parsing is identical to read_csv_chunked, so the frames
-//    are exactly equal for any thread count.
+//    row ranges directly into the final row-major buffer.
 //
-// All readers parse real bytes from a real file and return identical frames;
-// equivalence is enforced by tests.
+// The chunked, Dask and parallel readers share one private CSV core in
+// csv_reader.cpp: the line rule (split on '\n', drop one trailing '\r',
+// skip empty lines), the row tokenizer (std::from_chars per cell, an empty
+// field is 0, a row whose field count differs from the first row's throws
+// IoError) and the file reads. They differ only in how they schedule the
+// work, so their frames are equal bit for bit for any block size, segment
+// count or thread count.
+//
+// read_csv_original stands apart on purpose. It keeps its own tokenizer
+// and its int64-then-float64 conversion because it is the independent
+// reference the fast readers are checked against (the tests and the
+// end-to-end benchmark's gate); sharing the core would let one tokenizer
+// bug pass on both sides. On the text CsvWriter writes, its frames equal
+// the others' bit for bit with one exception: a "-0" cell is +0.0 in
+// read_csv_original (its int64 inference reads "-0" as the integer 0, as
+// pandas does) and -0.0 in the other three. Two rounding corner cases, which
+// CsvWriter never writes, also part them: read_csv_original converts
+// through float64, so a cell beyond float range reads as inf or 0 there
+// but throws IoError in the fast readers, and a cell within a float64 ulp
+// of a float rounding tie can round the other way.
 #pragma once
 
 #include <cstddef>
@@ -71,20 +87,6 @@ DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats = nullptr,
 DataFrame read_csv_parallel(const std::string& path,
                             CsvReadStats* stats = nullptr,
                             std::size_t block_bytes = 16 * 1024 * 1024);
-
-/// Options for read_csv_selected (the CANDLE loaders pass header=None or a
-/// header row plus a usecols subset to pandas.read_csv).
-struct CsvSelect {
-  std::size_t skip_rows = 0;            // e.g. 1 to drop a header line
-  std::vector<std::size_t> usecols;     // empty = keep all columns
-};
-
-/// Fast chunked reader with row skipping and column selection. Selected
-/// columns are emitted in ascending column order regardless of the order
-/// given in `usecols`; duplicate/out-of-range columns throw.
-DataFrame read_csv_selected(const std::string& path, const CsvSelect& select,
-                            CsvReadStats* stats = nullptr,
-                            std::size_t chunk_bytes = 16 * 1024 * 1024);
 
 /// Loader selection used by the benchmark runner and the binary cache.
 enum class LoaderKind { kOriginal, kChunked, kDask, kParallel };

@@ -34,15 +34,11 @@ MappedFrame::MappedFrame(const std::string& path) {
 
   FrameCacheHeader h{};
   std::memcpy(&h, map_, sizeof(h));
-  if (std::memcmp(h.magic, kFrameCacheMagic, sizeof(kFrameCacheMagic)) != 0 ||
-      h.payload_offset != kFrameCachePayloadOffset) {
+  try {
+    check_header(h, file_bytes, path);
+  } catch (const IoError&) {
     unmap();
-    throw IoError("MappedFrame: not a v2 frame cache: " + path);
-  }
-  const std::size_t payload_bytes = h.rows * h.cols * sizeof(float);
-  if (file_bytes != kFrameCachePayloadOffset + payload_bytes) {
-    unmap();
-    throw IoError("MappedFrame: payload size mismatch in " + path);
+    throw;
   }
   rows_ = h.rows;
   cols_ = h.cols;
@@ -91,20 +87,26 @@ DataFrame MappedFrame::to_frame() const {
   return df;
 }
 
+DataFrame copy_rows(const float* payload, std::size_t rows, std::size_t cols,
+                    const std::vector<std::size_t>& picks) {
+  DataFrame df;
+  df.rows = picks.size();
+  df.cols = cols;
+  df.data.resize(df.rows * df.cols);
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    require(picks[i] < rows, "copy_rows: row index out of range");
+    std::memcpy(df.data.data() + i * cols, payload + picks[i] * cols,
+                cols * sizeof(float));
+  }
+  return df;
+}
+
 DataFrame load_frame_rows(const std::string& path,
                           const std::vector<std::size_t>& rows,
                           CsvReadStats* stats) {
   Stopwatch watch;
   const MappedFrame frame(path);
-  DataFrame df;
-  df.rows = rows.size();
-  df.cols = frame.cols();
-  df.data.resize(df.rows * df.cols);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::span<const float> src = frame.row(rows[i]);
-    std::memcpy(df.data.data() + i * df.cols, src.data(),
-                df.cols * sizeof(float));
-  }
+  DataFrame df = copy_rows(frame.payload(), frame.rows(), frame.cols(), rows);
   if (stats != nullptr) {
     stats->seconds = watch.seconds();
     // Bytes actually touched: the header page plus the copied rows.

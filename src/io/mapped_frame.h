@@ -27,8 +27,9 @@ namespace candle::io {
 /// Read-only mmap of a v2 cache file with zero-copy row access.
 class MappedFrame {
  public:
-  /// Maps and validates `path`; throws IoError on open/map failure, a bad
-  /// or old-format header, or a payload/file-size mismatch (truncation).
+  /// Maps `path` and validates it with check_header; throws IoError on
+  /// open/map failure, a bad or old-format header, or a payload/file-size
+  /// mismatch (truncation, or a rows * cols product that overflows).
   explicit MappedFrame(const std::string& path);
   ~MappedFrame();
 
@@ -62,6 +63,12 @@ class MappedFrame {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
 };
+
+/// Copies the listed rows (any order, repeats allowed) of a row-major
+/// `rows` x `cols` payload into a fresh frame; throws InvalidArgument when
+/// a listed row is out of range.
+DataFrame copy_rows(const float* payload, std::size_t rows, std::size_t cols,
+                    const std::vector<std::size_t>& picks);
 
 /// Copies only the listed rows (any order, repeats allowed) out of a mapped
 /// cache into a fresh frame. `stats->bytes`, when requested, counts the

@@ -1,10 +1,16 @@
-// Tests for src/io: CSV writer, the three readers (equivalence + the
-// performance shape behind the paper's optimization), synthetic data.
+// Tests for src/io: CSV writer, the four readers (frame equality on an
+// edge-case table + the performance shape behind the paper's
+// optimization), the binary frame cache, synthetic data.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "io/binary_cache.h"
@@ -234,55 +240,105 @@ TEST_F(CsvReaderTest, LoaderNames) {
 }
 
 // ---------------------------------------------------------------------------
-// read_csv_selected: header skip + usecols (CANDLE loader options)
+// Edge-case table: for each input every reader gives the same frame, bit
+// for bit, or every reader throws IoError.
 // ---------------------------------------------------------------------------
 
-TEST_F(CsvReaderTest, SelectedSkipsHeaderRows) {
-  write_file("hdr.csv", "900,901\n1,2\n3,4\n");
-  CsvSelect select;
-  select.skip_rows = 1;
-  const DataFrame df = read_csv_selected(path("hdr.csv"), select);
-  ASSERT_EQ(df.rows, 2u);
-  EXPECT_FLOAT_EQ(df.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(df.at(1, 1), 4.0f);
+struct EdgeCase {
+  std::string name;
+  std::string text;
+  std::vector<float> frame;  // row-major; empty = every reader throws
+  std::size_t cols = 0;
+  // read_csv_original's frame where it differs by design ("-0", see
+  // csv_reader.h); empty = the same as every other reader.
+  std::vector<float> original_frame = {};
+};
+
+using ReaderFn = std::function<DataFrame(const std::string&)>;
+
+/// Every LoaderKind at its defaults, plus the block-streaming readers at
+/// 4096-byte blocks so short inputs still cross block boundaries.
+std::vector<std::pair<std::string, ReaderFn>> all_readers() {
+  std::vector<std::pair<std::string, ReaderFn>> readers;
+  for (auto kind : {LoaderKind::kOriginal, LoaderKind::kChunked,
+                    LoaderKind::kDask, LoaderKind::kParallel})
+    readers.emplace_back(loader_name(kind), [kind](const std::string& p) {
+      return read_csv(p, kind);
+    });
+  readers.emplace_back("original@4096", [](const std::string& p) {
+    return read_csv_original(p, nullptr, 4096);
+  });
+  readers.emplace_back("chunked@4096", [](const std::string& p) {
+    return read_csv_chunked(p, nullptr, 4096);
+  });
+  readers.emplace_back("parallel@4096", [](const std::string& p) {
+    return read_csv_parallel(p, nullptr, 4096);
+  });
+  return readers;
 }
 
-TEST_F(CsvReaderTest, SelectedPicksColumnSubsetInAscendingOrder) {
-  write_file("cols.csv", "10,11,12,13\n20,21,22,23\n");
-  CsvSelect select;
-  select.usecols = {3, 0};  // order does not matter
-  const DataFrame df = read_csv_selected(path("cols.csv"), select);
-  ASSERT_EQ(df.cols, 2u);
-  EXPECT_FLOAT_EQ(df.at(0, 0), 10.0f);
-  EXPECT_FLOAT_EQ(df.at(0, 1), 13.0f);
-  EXPECT_FLOAT_EQ(df.at(1, 1), 23.0f);
+std::vector<EdgeCase> edge_cases() {
+  std::vector<EdgeCase> cases = {
+      {"crlf", "1,2\r\n3,4\r\n", {1, 2, 3, 4}, 2},
+      {"blank and cr-only lines", "\n1,2\n\r\n\n3,4\n\r\n", {1, 2, 3, 4}, 2},
+      {"no final newline", "1,2\n3,4", {1, 2, 3, 4}, 2},
+      {"single column", "1\n2.5\n-3\n", {1, 2.5f, -3}, 1},
+      {"trailing comma is an empty field", "1,\n2,\n", {1, 0, 2, 0}, 2},
+      {"ragged first row", "1,2\n3,4,5\n6,7,8\n", {}, 0},
+      {"ragged middle row", "1,2\n3\n4,5\n", {}, 0},
+      {"ragged last row", "1,2\n3,4\n5,6,7\n", {}, 0},
+      {"malformed number", "1,2\n3,x4\n", {}, 0},
+      {"only blank lines", "\n\r\n\n", {}, 0},
+      {"minus zero", "-0,1\n2,3\n", {-0.0f, 1, 2, 3}, 2, {0.0f, 1, 2, 3}},
+  };
+
+  // Rows wider than a 4096-byte block.
+  EdgeCase wide{"row longer than the block", "", {}, 1500};
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < wide.cols; ++c) {
+      wide.text += c == 0 ? "0.5" : ",0.5";
+      wide.frame.push_back(0.5f);
+    }
+    wide.text += "\n";
+  }
+  cases.push_back(wide);
+
+  // A 4095-byte row, so its "\r\n" straddles byte 4096.
+  EdgeCase split{"crlf across a block boundary", "", {}, 2048};
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < split.cols; ++c) {
+      split.text += c == 0 ? "1" : ",1";
+      split.frame.push_back(1.0f);
+    }
+    split.text += "\r\n";
+  }
+  EXPECT_EQ(split.text.substr(4095, 2), "\r\n");
+  cases.push_back(split);
+  return cases;
 }
 
-TEST_F(CsvReaderTest, SelectedDefaultsMatchChunkedReader) {
-  write_synthetic_csv(path("sel.csv"), {50, 9, false}, 6);
-  const DataFrame a = read_csv_chunked(path("sel.csv"));
-  const DataFrame b = read_csv_selected(path("sel.csv"), {});
-  ASSERT_EQ(a.rows, b.rows);
-  ASSERT_EQ(a.cols, b.cols);
-  for (std::size_t i = 0; i < a.data.size(); ++i)
-    ASSERT_FLOAT_EQ(a.data[i], b.data[i]);
-}
-
-TEST_F(CsvReaderTest, SelectedValidatesUsecols) {
-  write_file("v.csv", "1,2\n");
-  CsvSelect out_of_range;
-  out_of_range.usecols = {5};
-  EXPECT_THROW(read_csv_selected(path("v.csv"), out_of_range), IoError);
-  CsvSelect dup;
-  dup.usecols = {1, 1};
-  EXPECT_THROW(read_csv_selected(path("v.csv"), dup), IoError);
-}
-
-TEST_F(CsvReaderTest, SelectedSkipAllRowsThrows) {
-  write_file("s2.csv", "1,2\n3,4\n");
-  CsvSelect select;
-  select.skip_rows = 10;
-  EXPECT_THROW(read_csv_selected(path("s2.csv"), select), IoError);
+TEST_F(CsvReaderTest, EdgeCasesGiveOneFrameOrOneIoErrorAcrossReaders) {
+  for (const EdgeCase& ec : edge_cases()) {
+    write_file("edge.csv", ec.text);
+    for (const auto& [reader, read] : all_readers()) {
+      SCOPED_TRACE(ec.name + " / " + reader);
+      if (ec.frame.empty()) {
+        EXPECT_THROW((void)read(path("edge.csv")), IoError);
+        continue;
+      }
+      const std::vector<float>& want =
+          reader.find("original") != std::string::npos &&
+                  !ec.original_frame.empty()
+              ? ec.original_frame
+              : ec.frame;
+      const DataFrame df = read(path("edge.csv"));
+      ASSERT_EQ(df.cols, ec.cols);
+      ASSERT_EQ(df.rows, want.size() / ec.cols);
+      ASSERT_EQ(df.data.size(), want.size());
+      EXPECT_EQ(0, std::memcmp(df.data.data(), want.data(),
+                               want.size() * sizeof(float)));
+    }
+  }
 }
 
 // Property sweep: both readers parse identically for any chunk size and any

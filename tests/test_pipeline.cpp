@@ -153,6 +153,29 @@ TEST_F(MappedFrameTest, CorruptionAndTruncationThrow) {
   EXPECT_THROW((void)io::MappedFrame{cache}, IoError);
   EXPECT_THROW((void)io::load_frame(cache), IoError);
   EXPECT_THROW((void)io::load_frame_rows(cache, {0}), IoError);
+
+  // Trailing bytes after the payload.
+  io::write_synthetic_csv(path("u.csv"), {20, 6, false}, 2);
+  (void)io::read_csv_cached(path("u.csv"));
+  const std::string padded = io::cache_path_for(path("u.csv"));
+  std::ofstream(padded, std::ios::binary | std::ios::app) << "tail";
+  EXPECT_THROW((void)io::MappedFrame{padded}, IoError);
+  EXPECT_THROW((void)io::load_frame(padded), IoError);
+  EXPECT_FALSE(io::is_cached_frame(padded));
+
+  // A hostile 64-byte header: rows = 2^62 and cols = 1 make the payload
+  // size rows * cols * 4 wrap to 0, which matches the empty payload.
+  io::FrameCacheHeader h{};
+  std::memcpy(h.magic, io::kFrameCacheMagic, sizeof(h.magic));
+  h.payload_offset = io::kFrameCachePayloadOffset;
+  h.rows = std::uint64_t{1} << 62;
+  h.cols = 1;
+  std::string hostile(io::kFrameCachePayloadOffset, '\0');
+  std::memcpy(hostile.data(), &h, sizeof(h));
+  write_file("hostile.bin", hostile);
+  EXPECT_THROW(io::MappedFrame(path("hostile.bin")), IoError);
+  EXPECT_THROW((void)io::load_frame(path("hostile.bin")), IoError);
+  EXPECT_FALSE(io::is_cached_frame(path("hostile.bin")));
 }
 
 TEST_F(MappedFrameTest, LoadFrameRowsCopiesSubsetsAndCountsTouchedBytes) {
