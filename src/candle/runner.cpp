@@ -1,5 +1,8 @@
 #include "candle/runner.h"
 
+#include <exception>
+#include <span>
+
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -8,6 +11,7 @@
 #include "hvd/distributed_optimizer.h"
 #include "io/binary_cache.h"
 #include "io/csv_writer.h"
+#include "io/mapped_frame.h"
 #include "nn/callbacks.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
@@ -21,19 +25,18 @@ void write_dataset_csv(const std::string& path, const nn::Dataset& data,
   io::CsvWriter writer(path);
   const std::size_t n = data.size();
   const std::size_t f = data.x.dim(1);
-  std::vector<float> row(f);
   const bool classifier = benchmark_is_classification(id);
   const std::vector<std::size_t> labels =
       classifier ? argmax_rows(data.y) : std::vector<std::size_t>{};
+  std::vector<float> full(id == BenchmarkId::kP1B3 ? f + 1 : 0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < f; ++j) row[j] = data.x.at(i, j);
+    const std::span<const float> row(data.x.data() + i * f, f);
     if (classifier) {
       // Label in column 0 (NT3/P1B2 layout).
       writer.write_labeled_row(static_cast<long long>(labels[i]), row);
     } else if (id == BenchmarkId::kP1B3) {
       // Regression target in column 0.
-      std::vector<float> full(f + 1);
-      full[0] = data.y.at(i, 0);
+      full[0] = data.y.data()[i];
       std::copy(row.begin(), row.end(), full.begin() + 1);
       writer.write_row(full);
     } else {
@@ -44,35 +47,127 @@ void write_dataset_csv(const std::string& path, const nn::Dataset& data,
   writer.close();
 }
 
-/// Parses a loaded frame back into a dataset (inverse of the writer).
+/// Parses a loaded frame back into a dataset (inverse of the writer),
+/// keeping its first `keep` rows. Every row's label is checked, the
+/// dropped ones' too, so a bad label fails the run wherever it sits.
 nn::Dataset frame_to_dataset(io::DataFrame&& df, BenchmarkId id,
-                             std::size_t classes) {
-  const std::size_t n = df.rows;
-  if (benchmark_is_classification(id)) {
-    const std::size_t f = df.cols - 1;
-    Tensor x({n, f});
-    std::vector<std::size_t> labels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      labels[i] = static_cast<std::size_t>(df.at(i, 0));
-      require(labels[i] < classes, "frame_to_dataset: label out of range");
-      for (std::size_t j = 0; j < f; ++j) x.at(i, j) = df.at(i, j + 1);
+                             std::size_t classes, std::size_t keep) {
+  const bool classifier = benchmark_is_classification(id);
+  std::vector<std::size_t> labels;
+  if (classifier) {
+    labels.resize(df.rows);
+    for (std::size_t i = 0; i < df.rows; ++i) {
+      // (-1, classes) is where the truncating cast is defined and in range.
+      const float label = df.at(i, 0);
+      require(label > -1.0f && label < static_cast<float>(classes),
+              "frame_to_dataset: label out of range");
+      labels[i] = static_cast<std::size_t>(label);
     }
-    return nn::Dataset{std::move(x), nn::one_hot(labels, classes)};
+    labels.resize(keep);
   }
-  if (id == BenchmarkId::kP1B3) {
-    const std::size_t f = df.cols - 1;
-    Tensor x({n, f});
-    Tensor y({n, std::size_t{1}});
-    for (std::size_t i = 0; i < n; ++i) {
-      y.at(i, 0) = df.at(i, 0);
-      for (std::size_t j = 0; j < f; ++j) x.at(i, j) = df.at(i, j + 1);
-    }
+  df.rows = keep;
+  df.data.resize(keep * df.cols);
+  if (!classifier && id != BenchmarkId::kP1B3) {
+    // Autoencoder: y == x.
+    Tensor x = std::move(df).to_tensor();
+    Tensor y = x;
     return nn::Dataset{std::move(x), std::move(y)};
   }
-  // Autoencoder: y == x.
-  Tensor x = std::move(df).to_tensor();
-  Tensor y = x;
-  return nn::Dataset{std::move(x), std::move(y)};
+  // Column 0 is the label (classifiers) or the regression target (P1B3).
+  const std::size_t f = df.cols - 1;
+  Tensor x({keep, f});
+  Tensor y = classifier ? Tensor{} : Tensor({keep, std::size_t{1}});
+  for (std::size_t i = 0; i < keep; ++i) {
+    const float* row = df.data.data() + i * df.cols;
+    std::copy(row + 1, row + df.cols, x.data() + i * f);
+    if (!classifier) y.data()[i] = row[0];
+  }
+  return nn::Dataset{std::move(x),
+                     classifier ? nn::one_hot(labels, classes) : std::move(y)};
+}
+
+/// Batch-step parallelism over more than one rank: each rank trains on
+/// its own shard of the training rows.
+bool batch_step_sharded(const RealRunConfig& config) {
+  return config.level == sim::ParallelLevel::kBatchStep && config.ranks > 1;
+}
+
+/// A rank's loaded training rows: it trains on the first `keep`.
+struct TrainRows {
+  io::DataFrame frame;
+  std::size_t keep = 0;
+};
+
+/// Loads the rows of the training CSV this rank trains on. Under
+/// batch-step sharding (ranks > 1) rank r trains on rows r, r+P, 2P+r, ...
+/// in equal shards of floor(n/P) rows (io::shard_rows), so every rank's
+/// step count matches, which the synchronous allreduce requires; no rank
+/// assembles rows it does not own. The uncached chunked read tokenizes
+/// only this rank's rows; the other loaders parse the whole file, and the
+/// rank copies its rows out and frees the full frame before any tensor is
+/// built. Both keep the rank's tail row (the ragged remainder past
+/// P * floor(n/P)) for frame_to_dataset's label check and drop it there,
+/// so every row of the file is checked by exactly one rank. The cached
+/// path reads exactly the shard from the mapped binary cache.
+TrainRows load_train_rows(const RealRunConfig& config,
+                          const std::string& path, std::size_t rank,
+                          io::CsvReadStats* stats) {
+  const std::size_t world = config.ranks;
+  TrainRows out;
+  if (!batch_step_sharded(config)) {
+    out.frame = config.cached_loads
+                    ? io::read_csv_cached(path, config.loader, stats)
+                    : io::read_csv(path, config.loader, stats);
+    out.keep = out.frame.rows;
+  } else if (config.cached_loads) {
+    out.frame = io::read_csv_cached_sharded(path, rank, world, config.loader,
+                                            stats);
+    out.keep = out.frame.rows;
+  } else if (config.loader == io::LoaderKind::kChunked) {
+    out.frame = io::read_csv_chunked(path, stats, io::kChunkBytes, rank, world);
+    out.keep = stats->file_rows / world;
+  } else {
+    const io::DataFrame full = io::read_csv(path, config.loader, stats);
+    std::vector<std::size_t> mine = io::shard_rows(full.rows, rank, world);
+    out.keep = mine.size();
+    if (rank < full.rows % world) mine.push_back(out.keep * world + rank);
+    out.frame = io::copy_rows(full.data.data(), full.rows, full.cols, mine);
+  }
+  stats->rows = out.keep;
+  return out;
+}
+
+/// Makes a load failure symmetric across the ranks of a sharded run. A
+/// malformed cell or a bad label can sit in rows that only one rank reads,
+/// so after assembly every rank shares its outcome through one allgather
+/// (the step schedule's allreduce count stays untouched). A failed rank
+/// rethrows its own error; every other rank throws the same type, naming
+/// the lowest failed rank. No rank reaches the first broadcast alone.
+void agree_on_load(comm::Communicator& communicator,
+                   const std::exception_ptr& error) {
+  float code = 0.0f;  // 0 ok, 1 IoError, 2 InvalidArgument, 3 other
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const IoError&) {
+      code = 1.0f;
+    } catch (const InvalidArgument&) {
+      code = 2.0f;
+    } catch (...) {
+      code = 3.0f;
+    }
+  }
+  std::vector<float> codes;
+  communicator.allgather(std::span<const float>(&code, 1), codes);
+  if (error) std::rethrow_exception(error);
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    if (codes[r] == 0.0f) continue;
+    const std::string msg =
+        strprintf("run_real: rank %zu failed to load its training rows", r);
+    if (codes[r] == 1.0f) throw IoError(msg);
+    if (codes[r] == 2.0f) throw InvalidArgument(msg);
+    throw Error(msg);
+  }
 }
 
 }  // namespace
@@ -100,6 +195,11 @@ std::pair<std::string, std::string> prepare_benchmark_csvs(
 }
 
 RealRunResult run_real(const RealRunConfig& config) {
+  return run_real(config, prepare_benchmark_csvs(config));
+}
+
+RealRunResult run_real(const RealRunConfig& config,
+                       const std::pair<std::string, std::string>& csvs) {
   require(config.ranks > 0, "run_real: ranks must be > 0");
   const bool channel_mode =
       config.layer_parallelism != nn::ParallelismMode::kData;
@@ -132,7 +232,7 @@ RealRunResult run_real(const RealRunConfig& config) {
                         ? scaled_learning_rate(base_lr, config.ranks)
                         : base_lr;
 
-  const auto [train_path, test_path] = prepare_benchmark_csvs(config);
+  const auto& [train_path, test_path] = csvs;
 
   auto timeline = config.record_timeline
                       ? std::make_shared<trace::Timeline>()
@@ -158,45 +258,43 @@ RealRunResult run_real(const RealRunConfig& config) {
 
         // --- Phase 1: data loading (real CSV parse, per rank). -----------
         // With cached_loads the parse happens once and later ranks/runs
-        // map the binary cache; under batch-step sharding the cache read
-        // touches only this rank's rows (pre-sharded at the I/O layer).
-        const bool preshard = config.cached_loads &&
-                              config.level == sim::ParallelLevel::kBatchStep &&
-                              config.ranks > 1;
-        const double load_begin = ctx.now();
+        // map the binary cache. Under batch-step sharding each rank reads
+        // and assembles only the rows it trains on (load_train_rows).
+        double load_s = 0.0;
+        double pre_begin = 0.0;
         io::CsvReadStats load_stats;
-        io::DataFrame train_frame =
-            preshard ? io::read_csv_cached_sharded(train_path, ctx.rank(),
-                                                   config.ranks, config.loader,
-                                                   &load_stats)
-            : config.cached_loads
-                ? io::read_csv_cached(train_path, config.loader, &load_stats)
-                : io::read_csv(train_path, config.loader, &load_stats);
-        io::CsvReadStats test_stats;
-        io::DataFrame test_frame =
-            config.cached_loads
-                ? io::read_csv_cached(test_path, config.loader, &test_stats)
-                : io::read_csv(test_path, config.loader, &test_stats);
-        const double load_s = ctx.now() - load_begin;
-        ctx.record(trace::kDataLoading, "io", load_begin, load_s);
+        nn::Dataset train;
+        nn::Dataset test;
+        std::exception_ptr load_error;
+        try {
+          const double load_begin = ctx.now();
+          TrainRows train_rows =
+              load_train_rows(config, train_path, ctx.rank(), &load_stats);
+          io::CsvReadStats test_stats;
+          io::DataFrame test_frame =
+              config.cached_loads
+                  ? io::read_csv_cached(test_path, config.loader, &test_stats)
+                  : io::read_csv(test_path, config.loader, &test_stats);
+          load_s = ctx.now() - load_begin;
+          ctx.record(trace::kDataLoading, "io", load_begin, load_s);
 
-        // --- Phase 2: preprocessing. --------------------------------------
-        const double pre_begin = ctx.now();
-        nn::Dataset train = frame_to_dataset(std::move(train_frame),
-                                             config.benchmark,
-                                             geometry.classes);
-        nn::Dataset test = frame_to_dataset(std::move(test_frame),
-                                            config.benchmark,
-                                            geometry.classes);
-        if (!preshard && config.level == sim::ParallelLevel::kBatchStep &&
-            config.ranks > 1) {
-          // Batch-step-level parallelism (Fig 3): rank r trains on rows
-          // r, r+P, 2P+r, ... in equal shards, so every rank's step count
-          // matches, which the synchronous allreduce requires.
-          const std::vector<std::size_t> mine =
-              io::shard_rows(train.size(), ctx.rank(), config.ranks);
-          train = nn::Dataset{nn::gather_rows(train.x, mine),
-                              nn::gather_rows(train.y, mine)};
+          // --- Phase 2: preprocessing. ------------------------------------
+          pre_begin = ctx.now();
+          train = frame_to_dataset(std::move(train_rows.frame),
+                                   config.benchmark, geometry.classes,
+                                   train_rows.keep);
+          const std::size_t test_rows = test_frame.rows;
+          test = frame_to_dataset(std::move(test_frame), config.benchmark,
+                                  geometry.classes, test_rows);
+        } catch (...) {
+          load_error = std::current_exception();
+        }
+        // Inside the preprocessing window, so the wait for the slowest
+        // rank's load is not charged to the initial broadcast.
+        if (batch_step_sharded(config)) {
+          agree_on_load(communicator, load_error);
+        } else if (load_error) {
+          std::rethrow_exception(load_error);
         }
         const double pre_s = ctx.now() - pre_begin;
         ctx.record(trace::kPreprocessing, "io", pre_begin, pre_s);

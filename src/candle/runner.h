@@ -1,7 +1,8 @@
 // Real-mode parallel benchmark runner.
 //
 // Executes the paper's full control flow (Fig 2/3) with genuine work: rank
-// threads each parse a real CSV with the selected loader, preprocess,
+// threads each parse a real CSV with the selected loader (under batch-step
+// sharding each rank assembles only the rows it trains on), preprocess,
 // broadcast initial weights from rank 0, train with the Horovod
 // DistributedOptimizer (ring allreduce per batch step), and evaluate on the
 // test set. This is the small-scale ground truth that the simulator
@@ -43,8 +44,9 @@ struct RealRunConfig {
   // cached_loads reads the CSVs through the mmap-able binary frame cache
   // (first run parses and publishes the cache; later runs map it). Under
   // batch-step sharding each rank then loads only rows r, r+P, ... of the
-  // cache — ~1/P of the payload bytes per rank — instead of parsing the
-  // full file and gathering its shard in memory.
+  // cache — ~1/P of the payload bytes per rank. Uncached, the chunked
+  // loader tokenizes only those rows of the CSV; the other loaders parse
+  // the whole file and keep only them.
   bool cached_loads = false;
   // prefetch stages each rank's batches on a background producer thread
   // (double-buffered; bit-identical to the synchronous path — see
@@ -98,7 +100,13 @@ struct RealRunConfig {
 
 /// Measured results (rank-0 view; ranks are symmetric).
 struct RealRunResult {
-  double data_load_s = 0.0;         // rank 0's CSV parse time
+  // Rank 0's train + test read. Under batch-step sharding (ranks > 1) the
+  // train read is rank 0's shard: the uncached chunked loader tokenizes
+  // only rank 0's rows, the other loaders parse the whole file and keep
+  // rank 0's rows, and the cache maps only them.
+  double data_load_s = 0.0;
+  // Assembly of the datasets; under batch-step sharding it also holds the
+  // ranks' load agreement, so it absorbs the wait for the slowest load.
   double preprocess_s = 0.0;
   double broadcast_negotiate_s = 0.0;  // straggler wait at initial broadcast
   double train_s = 0.0;
@@ -109,7 +117,9 @@ struct RealRunResult {
   float test_accuracy = 0.0f;
   float final_loss = 0.0f;
   nn::History history;              // rank 0's epochs
-  io::CsvReadStats load_stats;      // rank 0's loader stats
+  // Rank 0's train-read stats; `rows` counts the rows rank 0 trains on
+  // (its shard under batch-step sharding).
+  io::CsvReadStats load_stats;
   std::vector<comm::CommStats> comm_stats;  // per rank
   std::shared_ptr<trace::Timeline> timeline;
   bool resumed_from_checkpoint = false;
@@ -125,8 +135,16 @@ std::string checkpoint_path(const RealRunConfig& config);
 std::pair<std::string, std::string> prepare_benchmark_csvs(
     const RealRunConfig& config);
 
-/// Runs the parallel benchmark end to end. Throws on invalid configs
+/// Runs the parallel benchmark end to end: writes the run's CSVs with
+/// prepare_benchmark_csvs, then runs on them. Throws on invalid configs
 /// (e.g. epochs-per-rank of zero under strong scaling).
 RealRunResult run_real(const RealRunConfig& config);
+
+/// Runs on already-written (train, test) CSVs in the layout
+/// prepare_benchmark_csvs writes. A load failure on any rank (a missing or
+/// malformed file, a ragged row, a label outside [0, classes)) fails every
+/// rank with the same error type before the initial broadcast.
+RealRunResult run_real(const RealRunConfig& config,
+                       const std::pair<std::string, std::string>& csvs);
 
 }  // namespace candle

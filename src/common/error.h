@@ -47,4 +47,12 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// The literal-message form: a passing check builds no std::string, so
+/// hot accessors (Tensor::at, Tensor::dim) stay allocation-free. Callers
+/// whose message needs formatting test the condition first and build the
+/// message only on failure.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
+
 }  // namespace candle

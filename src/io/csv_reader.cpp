@@ -198,9 +198,10 @@ std::string read_file(const std::string& path) {
 }
 
 void fill_stats(CsvReadStats* stats, const Stopwatch& watch,
-                std::size_t bytes, const DataFrame& df, std::size_t chunks) {
+                std::size_t bytes, const DataFrame& df, std::size_t chunks,
+                std::size_t file_rows) {
   if (stats != nullptr)
-    *stats = {watch.seconds(), bytes, df.rows, df.cols, chunks, 0};
+    *stats = {watch.seconds(), bytes, df.rows, df.cols, chunks, 0, file_rows};
 }
 
 }  // namespace
@@ -365,16 +366,24 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
 // ---------------------------------------------------------------------------
 
 DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats,
-                           std::size_t chunk_bytes) {
+                           std::size_t chunk_bytes, std::size_t rank,
+                           std::size_t world) {
   require(chunk_bytes >= 4096, "read_csv_chunked: chunk must be >= 4 KiB");
+  require(rank < world, "read_csv_chunked: rank out of range");
   Stopwatch watch;
   DataFrame df;
   std::size_t blocks = 0;
-  const std::size_t bytes =
-      stream_lines(path, chunk_bytes, blocks,
-                   [&](const char* b, const char* e) { append_row(df, b, e); });
-  io_require(df.rows > 0, "read_csv: empty file " + path);
-  fill_stats(stats, watch, bytes, df, blocks);
+  std::size_t lines = 0;
+  const std::size_t bytes = stream_lines(
+      path, chunk_bytes, blocks, [&](const char* b, const char* e) {
+        // Every rank takes the frame width from the file's first row; only
+        // the rows this rank keeps are tokenized.
+        if (df.cols == 0) df.cols = count_fields(b, e);
+        if (lines++ % world == rank) append_row(df, b, e);
+      });
+  io_require(lines > 0, "read_csv: empty file " + path);
+  require(lines >= world, "read_csv_chunked: fewer rows than ranks");
+  fill_stats(stats, watch, bytes, df, blocks, lines);
   return df;
 }
 
@@ -421,7 +430,7 @@ DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats,
   df.data.reserve(df.rows * df.cols);
   for (auto& part : parts)
     df.data.insert(df.data.end(), part.data.begin(), part.data.end());
-  fill_stats(stats, watch, text.size(), df, parts.size());
+  fill_stats(stats, watch, text.size(), df, parts.size(), df.rows);
   return df;
 }
 
@@ -485,15 +494,22 @@ DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
   df.data.resize(df.rows * df.cols);
 
   // Phase 2: parse disjoint row ranges directly into the final buffer.
-  // Ragged rows throw; the pool rethrows the lowest-chunk error on the
-  // calling thread.
+  // The grain is a byte budget, not a row count: a chunk carries about
+  // kParseGrainBytes of text, so a file of a few very wide rows still
+  // spreads over the pool. Ragged rows throw; the pool rethrows the
+  // lowest-chunk error on the calling thread.
+  constexpr std::size_t kParseGrainBytes = 64 * 1024;
+  const std::size_t mean_row_bytes = std::max<std::size_t>(
+      1, text.size() / rows.size());
+  const std::size_t grain =
+      std::max<std::size_t>(1, kParseGrainBytes / mean_row_bytes);
   float* out = df.data.data();
-  parallel::parallel_for(0, rows.size(), 64, [&](std::size_t r0,
-                                                 std::size_t r1) {
+  parallel::parallel_for(0, rows.size(), grain, [&](std::size_t r0,
+                                                    std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r)
       parse_row(rows[r].first, rows[r].second, out + r * df.cols, df.cols);
   });
-  fill_stats(stats, watch, text.size(), df, blocks);
+  fill_stats(stats, watch, text.size(), df, blocks, df.rows);
   return df;
 }
 

@@ -15,7 +15,10 @@
 //  * read_csv_chunked — the paper's fix: sequential 16 MB block reads
 //    (Spectrum Scale's largest I/O block on Summit) parsed in a single pass
 //    with std::from_chars straight into the final row-major buffer, no type
-//    re-inference and no concatenation.
+//    re-inference and no concatenation. Its rank/world parameters make it
+//    a strided (row-sharded) read: every rank streams the whole file but
+//    tokenizes only rows rank, rank + world, ..., so across the ranks every
+//    row is tokenized by exactly one rank.
 //
 //  * read_csv_dask — a Dask-DataFrame-like strategy: the file is split into
 //    row segments parsed independently into per-segment frames that are
@@ -56,6 +59,10 @@
 
 namespace candle::io {
 
+/// The chunked reader's I/O block: 16 MiB, Spectrum Scale's largest on
+/// Summit (the paper's setting).
+inline constexpr std::size_t kChunkBytes = 16 * 1024 * 1024;
+
 /// Measurements from one read.
 struct CsvReadStats {
   double seconds = 0.0;        // wall-clock parse time
@@ -64,6 +71,10 @@ struct CsvReadStats {
   std::size_t cols = 0;
   std::size_t chunks = 0;      // text chunks (original) or blocks (chunked)
   std::size_t piece_allocs = 0;  // per-(chunk,column) buffers (original only)
+  // Rows in the whole file: equal to `rows` except under a strided
+  // read_csv_chunked, where `rows` counts only the kept rows. The fast
+  // readers set it; read_csv_original leaves it untouched.
+  std::size_t file_rows = 0;
 };
 
 /// Pandas-default model (low_memory=True). `low_memory_chunk_bytes` is the
@@ -72,9 +83,21 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats = nullp
                             std::size_t low_memory_chunk_bytes = 256 * 1024);
 
 /// The paper's optimized loader: chunked read with low_memory=False.
-/// `chunk_bytes` defaults to 16 MiB per the paper.
+/// `chunk_bytes` defaults to kChunkBytes.
+///
+/// Row shard: with world > 1 the read keeps only the rows i (0-based, blank
+/// lines not counted) with i % world == rank, in file order, tail rows
+/// included; the other rows are split off at their newline and never
+/// tokenized, so only kept rows can raise a malformed-cell or ragged-row
+/// IoError. Every rank takes the frame width from the file's first row, so
+/// the world ranks' frames interleave to exactly the world = 1 frame and
+/// every row is checked by exactly one rank. Equal shards (io::shard_rows:
+/// the first file_rows / world kept rows) are the caller's cut, made after
+/// it has checked the tail. Throws InvalidArgument when rank >= world or
+/// the file has fewer rows than world, IoError when it has none.
 DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats = nullptr,
-                           std::size_t chunk_bytes = 16 * 1024 * 1024);
+                           std::size_t chunk_bytes = kChunkBytes,
+                           std::size_t rank = 0, std::size_t world = 1);
 
 /// Dask-like segmented reader. `segments` row partitions (default 8).
 DataFrame read_csv_dask(const std::string& path, CsvReadStats* stats = nullptr,

@@ -14,15 +14,18 @@ struct ConvDims {
 
 ConvDims check_conv_operands(const Tensor& x, const Tensor& w,
                              std::size_t stride, const char* op) {
-  require(x.rank() == 3, std::string(op) + ": x must be (b, L, Cin)");
-  require(w.rank() == 3, std::string(op) + ": w must be (K, Cin, Cout)");
+  if (x.rank() != 3)
+    throw InvalidArgument(std::string(op) + ": x must be (b, L, Cin)");
+  if (w.rank() != 3)
+    throw InvalidArgument(std::string(op) + ": w must be (K, Cin, Cout)");
   ConvDims d;
   d.b = x.dim(0);
   d.L = x.dim(1);
   d.cin = x.dim(2);
   d.K = w.dim(0);
   d.cout = w.dim(2);
-  require(w.dim(1) == d.cin, std::string(op) + ": channel mismatch");
+  if (w.dim(1) != d.cin)
+    throw InvalidArgument(std::string(op) + ": channel mismatch");
   d.lout = conv1d_out_length(d.L, d.K, stride);
   return d;
 }
@@ -32,9 +35,9 @@ ConvDims check_conv_operands(const Tensor& x, const Tensor& w,
 std::size_t conv1d_out_length(std::size_t length, std::size_t window,
                               std::size_t stride) {
   require(window > 0 && stride > 0, "conv1d: window and stride must be > 0");
-  require(length >= window,
-          "conv1d: input length " + std::to_string(length) +
-              " shorter than window " + std::to_string(window));
+  if (length < window)
+    throw InvalidArgument("conv1d: input length " + std::to_string(length) +
+                          " shorter than window " + std::to_string(window));
   return (length - window) / stride + 1;
 }
 

@@ -234,18 +234,19 @@ struct GemmDims {
 
 GemmDims check_gemm_operands(bool trans_a, bool trans_b, const Tensor& a,
                              const Tensor& b, const char* op) {
-  require(a.rank() == 2 && b.rank() == 2,
-          std::string(op) + ": operands must be rank-2, got " +
-              shape_to_string(a.shape()) + " x " +
-              shape_to_string(b.shape()));
+  if (a.rank() != 2 || b.rank() != 2)
+    throw InvalidArgument(std::string(op) + ": operands must be rank-2, got " +
+                          shape_to_string(a.shape()) + " x " +
+                          shape_to_string(b.shape()));
   const std::size_t m = trans_a ? a.dim(1) : a.dim(0);
   const std::size_t ka = trans_a ? a.dim(0) : a.dim(1);
   const std::size_t kb = trans_b ? b.dim(1) : b.dim(0);
   const std::size_t n = trans_b ? b.dim(0) : b.dim(1);
-  require(ka == kb, std::string(op) + ": inner dims differ: " +
-                        shape_to_string(a.shape()) +
-                        (trans_a ? "^T" : "") + " x " +
-                        shape_to_string(b.shape()) + (trans_b ? "^T" : ""));
+  if (ka != kb)
+    throw InvalidArgument(std::string(op) + ": inner dims differ: " +
+                          shape_to_string(a.shape()) + (trans_a ? "^T" : "") +
+                          " x " + shape_to_string(b.shape()) +
+                          (trans_b ? "^T" : ""));
   return {m, n, ka};
 }
 
@@ -254,9 +255,10 @@ GemmDims check_gemm_operands(bool trans_a, bool trans_b, const Tensor& a,
 void gemm(bool trans_a, bool trans_b, const Tensor& a, const Tensor& b,
           Tensor& c, const Epilogue& ep) {
   const GemmDims d = check_gemm_operands(trans_a, trans_b, a, b, "gemm");
-  require(c.rank() == 2 && c.dim(0) == d.m && c.dim(1) == d.n,
-          "gemm: output must be preshaped (" + std::to_string(d.m) + ", " +
-              std::to_string(d.n) + "), got " + shape_to_string(c.shape()));
+  if (c.rank() != 2 || c.dim(0) != d.m || c.dim(1) != d.n)
+    throw InvalidArgument("gemm: output must be preshaped (" +
+                          std::to_string(d.m) + ", " + std::to_string(d.n) +
+                          "), got " + shape_to_string(c.shape()));
   gemm_raw(trans_a, trans_b, d.m, d.n, d.k, a.data(), b.data(), c.data(),
            ep);
 }

@@ -10,8 +10,9 @@ namespace candle {
 namespace {
 
 void check_rank2(const Tensor& t, const char* op) {
-  require(t.rank() == 2, std::string(op) + ": operand must be rank-2, got " +
-                             shape_to_string(t.shape()));
+  if (t.rank() != 2)
+    throw InvalidArgument(std::string(op) + ": operand must be rank-2, got " +
+                          shape_to_string(t.shape()));
 }
 
 // Elementwise kernels are memory-bound; small splits cost more in pool

@@ -46,9 +46,10 @@ std::size_t Tensor::dim(std::size_t i) const {
 }
 
 float& Tensor::at(std::size_t i) {
-  require(i < data_.size(),
-          "Tensor::at: index " + std::to_string(i) + " out of range for " +
-              std::to_string(data_.size()) + " elements");
+  if (i >= data_.size())
+    throw InvalidArgument("Tensor::at: index " + std::to_string(i) +
+                          " out of range for " +
+                          std::to_string(data_.size()) + " elements");
   return data_[i];
 }
 
@@ -120,9 +121,10 @@ float Tensor::sq_norm() const {
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  require(a.shape() == b.shape(),
-          std::string(op) + ": shape mismatch " + shape_to_string(a.shape()) +
-              " vs " + shape_to_string(b.shape()));
+  if (a.shape() != b.shape())
+    throw InvalidArgument(std::string(op) + ": shape mismatch " +
+                          shape_to_string(a.shape()) + " vs " +
+                          shape_to_string(b.shape()));
 }
 
 }  // namespace candle

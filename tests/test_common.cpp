@@ -1,4 +1,5 @@
-// Tests for src/common: RNG, strings, tables, CLI.
+// Tests for src/common: RNG, strings, tables, CLI, and the require()
+// checks with the error types and messages they pin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,10 @@
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "tensor/conv.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace candle {
 namespace {
@@ -294,6 +299,74 @@ TEST(Cli, MissingValueThrows) {
 TEST(Cli, UnregisteredGetThrows) {
   Cli cli;
   EXPECT_THROW((void)cli.get("missing"), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// require() and the checks that build their message only on failure
+// ---------------------------------------------------------------------------
+
+/// The InvalidArgument message `fn` throws ("" when it throws nothing).
+template <class Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Require, LiteralAndFormattedMessagesThrowInvalidArgument) {
+  EXPECT_NO_THROW(require(true, "a literal message longer than sixteen"));
+  EXPECT_NO_THROW(require(true, std::string("a formatted message")));
+  EXPECT_EQ(invalid_argument_message(
+                [] { require(false, "a literal message longer than sixteen"); }),
+            "a literal message longer than sixteen");
+  EXPECT_EQ(invalid_argument_message([] {
+              require(false, std::string("formatted ") + std::to_string(7));
+            }),
+            "formatted 7");
+}
+
+TEST(Require, TensorKernelChecksKeepTheirTypesAndMessages) {
+  Tensor v({4});
+  Tensor m({2, 3});
+  Tensor wide({4, 5});
+  EXPECT_EQ(invalid_argument_message([&] { (void)v.at(4); }),
+            "Tensor::at: index 4 out of range for 4 elements");
+  EXPECT_EQ(invalid_argument_message([&] { (void)m.at(2, 0); }),
+            "Tensor::at: index out of range");
+  EXPECT_EQ(invalid_argument_message([&] { (void)v.at(0, 0); }),
+            "Tensor::at: rank must be 2");
+  EXPECT_EQ(invalid_argument_message([&] { (void)m.dim(2); }),
+            "Tensor::dim: axis out of range");
+  EXPECT_EQ(invalid_argument_message([&] { (void)gemm(false, false, v, m); }),
+            "gemm: operands must be rank-2, got [4] x [2, 3]");
+  EXPECT_EQ(invalid_argument_message([&] { (void)gemm(true, false, m, wide); }),
+            "gemm: inner dims differ: [2, 3]^T x [4, 5]");
+  EXPECT_EQ(invalid_argument_message([&] { (void)gemm(false, true, m, wide); }),
+            "gemm: inner dims differ: [2, 3] x [4, 5]^T");
+  Tensor out({2, 4});
+  EXPECT_EQ(invalid_argument_message([&] { gemm(false, false, m, m, out); }),
+            "gemm: inner dims differ: [2, 3] x [2, 3]");
+  Tensor square({3, 3});
+  EXPECT_EQ(
+      invalid_argument_message([&] { gemm(false, false, m, square, out); }),
+      "gemm: output must be preshaped (2, 3), got [2, 4]");
+  EXPECT_EQ(invalid_argument_message([&] { add_bias_rows(v, v); }),
+            "add_bias_rows: operand must be rank-2, got [4]");
+  EXPECT_EQ(invalid_argument_message([&] { (void)add(v, m); }),
+            "add: shape mismatch [4] vs [2, 3]");
+  EXPECT_EQ(invalid_argument_message([] { (void)conv1d_out_length(2, 3, 1); }),
+            "conv1d: input length 2 shorter than window 3");
+  // Passing checks throw nothing.
+  Tensor c({2, 3});
+  EXPECT_EQ(invalid_argument_message([&] {
+              (void)m.at(1, 2);
+              (void)v.at(3);
+              gemm(false, false, m, square, c);
+            }),
+            "");
 }
 
 }  // namespace

@@ -3,8 +3,16 @@
 // threads, plus cross-checks against the simulator's phase structure.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "candle/runner.h"
 #include "common/error.h"
@@ -207,6 +215,129 @@ TEST_F(RunnerTest, ShardedRanksStayInLockstep) {
   for (std::size_t rank = 1; rank < 3; ++rank)
     EXPECT_EQ(r.comm_stats[0].allreduce_calls,
               r.comm_stats[rank].allreduce_calls);
+}
+
+TEST_F(RunnerTest, ShardFirstLoadMatchesTheReferenceLoaderBitForBit) {
+  // Batch-step sharding, uncached: the chunked loader tokenizes only each
+  // rank's rows, kOriginal parses the whole file and copies them out; both
+  // must train on the same rows. 1,120 NT3 rows leave a tail row at 3 ranks
+  // and none at 4.
+  config_.weak_scaling = true;
+  config_.total_epochs = 2;
+  config_.level = sim::ParallelLevel::kBatchStep;
+  const std::size_t n =
+      scaled_geometry(config_.benchmark, config_.scale).train_samples;
+  for (const std::size_t ranks : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    config_.ranks = ranks;
+    config_.loader = io::LoaderKind::kChunked;
+    const RealRunResult chunked = run_real(config_);
+    config_.loader = io::LoaderKind::kOriginal;
+    const RealRunResult original = run_real(config_);
+    const auto same_bits = [](float a, float b) {
+      return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    ASSERT_EQ(chunked.history.epochs.size(), 2u);
+    ASSERT_EQ(original.history.epochs.size(), 2u);
+    for (std::size_t e = 0; e < 2; ++e)
+      EXPECT_TRUE(same_bits(chunked.history.epochs[e].loss,
+                            original.history.epochs[e].loss))
+          << "epoch " << e;
+    EXPECT_TRUE(same_bits(chunked.final_loss, original.final_loss));
+    EXPECT_TRUE(same_bits(chunked.test_accuracy, original.test_accuracy));
+    EXPECT_EQ(chunked.load_stats.rows, n / ranks);
+    EXPECT_EQ(original.load_stats.rows, n / ranks);
+    EXPECT_EQ(chunked.load_stats.file_rows, n);
+  }
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+/// Runs `config` on `csvs` under a 60 s watchdog and returns the message
+/// of the `E` it must throw. A hang aborts the test binary: the rank
+/// threads cannot be cancelled.
+template <class E>
+std::string run_real_throws(const RealRunConfig& config,
+                            const std::pair<std::string, std::string>& csvs) {
+  auto run = std::async(std::launch::async,
+                        [&] { return run_real(config, csvs); });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "run_real hung on a hostile CSV\n");
+    std::abort();
+  }
+  try {
+    (void)run.get();
+  } catch (const E& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected error type: " << e.what();
+    return "";
+  }
+  ADD_FAILURE() << "run_real did not throw";
+  return "";
+}
+
+TEST_F(RunnerTest, HostileTrainRowsFailEveryShardedRankAlike) {
+  // A bad row is read by one rank only under the shard-first load, yet the
+  // run must fail on every rank with the error type a whole-file parse on
+  // every rank gives (IoError for text, InvalidArgument for a label), and
+  // never hang in the initial broadcast. run_real rethrows rank 0's error,
+  // which names the failed rank when that is another one.
+  config_.weak_scaling = true;
+  config_.total_epochs = 1;
+  config_.ranks = 4;
+  config_.level = sim::ParallelLevel::kBatchStep;
+  const auto csvs = prepare_benchmark_csvs(config_);
+  const std::vector<std::string> clean = read_lines(csvs.first);
+  ASSERT_EQ(clean.size() % 4, 0u);
+  // Two appended rows make a tail: rows n and n + 1, owned by ranks 0 and 1.
+  std::vector<std::string> tailed = clean;
+  tailed.push_back(clean[0]);
+  tailed.push_back(clean[1]);
+
+  std::vector<std::string> malformed = clean;
+  malformed[6].insert(malformed[6].find(',') + 1, "x");  // rank 2's row
+  std::vector<std::string> ragged = tailed;
+  ragged.back().erase(ragged.back().rfind(','));
+  std::vector<std::string> bad_label = tailed;
+  bad_label.back().replace(0, bad_label.back().find(','), "99");
+
+  for (const auto loader :
+       {io::LoaderKind::kChunked, io::LoaderKind::kOriginal}) {
+    SCOPED_TRACE(io::loader_name(loader));
+    config_.loader = loader;
+    const bool shard_parse = loader == io::LoaderKind::kChunked;
+
+    write_lines(csvs.first, malformed);
+    std::string what = run_real_throws<IoError>(config_, csvs);
+    if (shard_parse) {
+      EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
+    }
+
+    write_lines(csvs.first, ragged);
+    what = run_real_throws<IoError>(config_, csvs);
+    if (shard_parse) {
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
+
+    write_lines(csvs.first, bad_label);
+    what = run_real_throws<InvalidArgument>(config_, csvs);
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  }
+  // The clean file still trains.
+  write_lines(csvs.first, clean);
+  EXPECT_EQ(run_real(config_, csvs).epochs_rank0, 1u);
 }
 
 TEST_F(RunnerTest, CheckpointsAreWrittenAndResumable) {

@@ -1,6 +1,7 @@
 // Tests for src/io: CSV writer, the four readers (frame equality on an
 // edge-case table + the performance shape behind the paper's
-// optimization), the binary frame cache, synthetic data.
+// optimization), the chunked reader's row shard, the binary frame cache,
+// synthetic data.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "io/binary_cache.h"
 #include "io/csv_reader.h"
 #include "io/csv_writer.h"
+#include "io/mapped_frame.h"
 #include "io/synthetic.h"
 #include "nn/metrics.h"
 #include "nn/model.h"
@@ -256,6 +258,29 @@ struct EdgeCase {
 
 using ReaderFn = std::function<DataFrame(const std::string&)>;
 
+/// Every rank's strided read_csv_chunked of `p`, interleaved back into file
+/// order. A rank's IoError propagates, so across the ranks the result is
+/// one frame or one IoError, like a single reader's.
+DataFrame read_all_shards(const std::string& p, std::size_t world,
+                          std::size_t chunk_bytes) {
+  std::vector<DataFrame> shards;
+  for (std::size_t r = 0; r < world; ++r)
+    shards.push_back(read_csv_chunked(p, nullptr, chunk_bytes, r, world));
+  DataFrame df;
+  df.cols = shards.front().cols;
+  for (std::size_t i = 0;; ++i) {
+    const DataFrame& s = shards[i % world];
+    EXPECT_EQ(s.cols, df.cols);
+    if (i / world >= s.rows) break;
+    const auto row = s.data.begin() + static_cast<std::ptrdiff_t>(
+                                          i / world * s.cols);
+    df.data.insert(df.data.end(), row,
+                   row + static_cast<std::ptrdiff_t>(s.cols));
+    ++df.rows;
+  }
+  return df;
+}
+
 /// Every LoaderKind at its defaults, plus the block-streaming readers at
 /// 4096-byte blocks so short inputs still cross block boundaries.
 std::vector<std::pair<std::string, ReaderFn>> all_readers() {
@@ -273,6 +298,9 @@ std::vector<std::pair<std::string, ReaderFn>> all_readers() {
   });
   readers.emplace_back("parallel@4096", [](const std::string& p) {
     return read_csv_parallel(p, nullptr, 4096);
+  });
+  readers.emplace_back("chunked@4096 as 2 shards", [](const std::string& p) {
+    return read_all_shards(p, 2, 4096);
   });
   return readers;
 }
@@ -339,6 +367,74 @@ TEST_F(CsvReaderTest, EdgeCasesGiveOneFrameOrOneIoErrorAcrossReaders) {
                                want.size() * sizeof(float)));
     }
   }
+}
+
+// Row shard: rank r of world keeps rows r, r + world, ... (tail included),
+// bit for bit the rows of the full read; its first rows / world rows are
+// io::shard_rows' equal shard.
+TEST_F(CsvReaderTest, ShardedChunkedReadKeepsEveryWorldthRow) {
+  // CRLF endings and blank lines between rows; 13 rows divide by no world
+  // above 1, 12 by every world up to 4.
+  for (const std::size_t n : {std::size_t{12}, std::size_t{13}}) {
+    std::string text = "\n";
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < 700; ++c)
+        text += (c ? "," : "") + std::to_string(i * 1000 + c) + ".25";
+      text += i % 3 == 0 ? "\r\n\r\n" : "\r\n";
+    }
+    write_file("shard.csv", text);
+    const DataFrame full = read_csv_chunked(path("shard.csv"));
+    ASSERT_EQ(full.rows, n);
+    for (const std::size_t chunk : {std::size_t{4096}, kChunkBytes}) {
+      for (std::size_t world = 1; world <= 4; ++world) {
+        for (std::size_t rank = 0; rank < world; ++rank) {
+          SCOPED_TRACE(std::to_string(n) + " rows, chunk " +
+                       std::to_string(chunk) + ", rank " +
+                       std::to_string(rank) + " of " + std::to_string(world));
+          CsvReadStats stats;
+          const DataFrame shard = read_csv_chunked(path("shard.csv"), &stats,
+                                                   chunk, rank, world);
+          std::vector<std::size_t> mine = shard_rows(n, rank, world);
+          const DataFrame equal =
+              copy_rows(full.data.data(), full.rows, full.cols, mine);
+          if (rank < n % world) mine.push_back(n / world * world + rank);
+          const DataFrame owned =
+              copy_rows(full.data.data(), full.rows, full.cols, mine);
+          EXPECT_EQ(stats.file_rows, n);
+          EXPECT_EQ(stats.rows, shard.rows);
+          ASSERT_EQ(shard.cols, full.cols);
+          ASSERT_EQ(shard.rows, owned.rows);
+          ASSERT_EQ(shard.data.size(), owned.data.size());
+          EXPECT_EQ(0, std::memcmp(shard.data.data(), owned.data.data(),
+                                   owned.data.size() * sizeof(float)));
+          EXPECT_EQ(0, std::memcmp(shard.data.data(), equal.data.data(),
+                                   equal.data.size() * sizeof(float)));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(CsvReaderTest, ShardedChunkedReadRejectsBadShards) {
+  write_file("three.csv", "1,2\n3,4\n5,6\n");
+  // Fewer rows than ranks: InvalidArgument, as io::shard_rows throws.
+  EXPECT_THROW((void)read_csv_chunked(path("three.csv"), nullptr, kChunkBytes,
+                                      0, 4),
+               InvalidArgument);
+  EXPECT_THROW((void)shard_rows(3, 0, 4), InvalidArgument);
+  EXPECT_THROW((void)read_csv_chunked(path("three.csv"), nullptr, kChunkBytes,
+                                      2, 2),
+               InvalidArgument);
+  EXPECT_THROW((void)read_csv_chunked(path("three.csv"), nullptr, kChunkBytes,
+                                      0, 0),
+               InvalidArgument);
+  // A malformed cell is seen only by the rank that owns its row.
+  write_file("bad.csv", "1,2\n3,x\n5,6\n7,8\n");
+  EXPECT_NO_THROW((void)read_csv_chunked(path("bad.csv"), nullptr,
+                                         kChunkBytes, 0, 2));
+  EXPECT_THROW((void)read_csv_chunked(path("bad.csv"), nullptr, kChunkBytes,
+                                      1, 2),
+               IoError);
 }
 
 // Property sweep: both readers parse identically for any chunk size and any
