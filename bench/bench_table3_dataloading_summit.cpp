@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
     io::CsvReadStats cold, warm, shard;
     (void)io::read_csv_cached(path, io::LoaderKind::kChunked, &cold);
     (void)io::read_csv_cached(path, io::LoaderKind::kChunked, &warm);
-    (void)io::read_csv_cached_sharded(path, /*rank=*/0, /*world=*/4,
-                                      io::LoaderKind::kChunked, &shard);
+    (void)io::read_csv_cached(path, io::LoaderKind::kChunked, &shard,
+                              /*rank=*/0, /*world=*/4);
     cells.push_back(strprintf("%.3f", warm.seconds));
     cells.push_back(strprintf("%.3f", shard.seconds));
     cells.push_back(format_bytes(static_cast<double>(shard.bytes)));

@@ -11,7 +11,6 @@
 #include "hvd/distributed_optimizer.h"
 #include "io/binary_cache.h"
 #include "io/csv_writer.h"
-#include "io/mapped_frame.h"
 #include "nn/callbacks.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
@@ -86,55 +85,14 @@ nn::Dataset frame_to_dataset(io::DataFrame&& df, BenchmarkId id,
                      classifier ? nn::one_hot(labels, classes) : std::move(y)};
 }
 
-/// Batch-step parallelism over more than one rank: each rank trains on
-/// its own shard of the training rows.
-bool batch_step_sharded(const RealRunConfig& config) {
-  return config.level == sim::ParallelLevel::kBatchStep && config.ranks > 1;
-}
-
-/// A rank's loaded training rows: it trains on the first `keep`.
-struct TrainRows {
-  io::DataFrame frame;
-  std::size_t keep = 0;
-};
-
-/// Loads the rows of the training CSV this rank trains on. Under
-/// batch-step sharding (ranks > 1) rank r trains on rows r, r+P, 2P+r, ...
-/// in equal shards of floor(n/P) rows (io::shard_rows), so every rank's
-/// step count matches, which the synchronous allreduce requires; no rank
-/// assembles rows it does not own. The uncached chunked read tokenizes
-/// only this rank's rows; the other loaders parse the whole file, and the
-/// rank copies its rows out and frees the full frame before any tensor is
-/// built. Both keep the rank's tail row (the ragged remainder past
-/// P * floor(n/P)) for frame_to_dataset's label check and drop it there,
-/// so every row of the file is checked by exactly one rank. The cached
-/// path reads exactly the shard from the mapped binary cache.
-TrainRows load_train_rows(const RealRunConfig& config,
-                          const std::string& path, std::size_t rank,
-                          io::CsvReadStats* stats) {
-  const std::size_t world = config.ranks;
-  TrainRows out;
-  if (!batch_step_sharded(config)) {
-    out.frame = config.cached_loads
-                    ? io::read_csv_cached(path, config.loader, stats)
-                    : io::read_csv(path, config.loader, stats);
-    out.keep = out.frame.rows;
-  } else if (config.cached_loads) {
-    out.frame = io::read_csv_cached_sharded(path, rank, world, config.loader,
-                                            stats);
-    out.keep = out.frame.rows;
-  } else if (config.loader == io::LoaderKind::kChunked) {
-    out.frame = io::read_csv_chunked(path, stats, io::kChunkBytes, rank, world);
-    out.keep = stats->file_rows / world;
-  } else {
-    const io::DataFrame full = io::read_csv(path, config.loader, stats);
-    std::vector<std::size_t> mine = io::shard_rows(full.rows, rank, world);
-    out.keep = mine.size();
-    if (rank < full.rows % world) mine.push_back(out.keep * world + rank);
-    out.frame = io::copy_rows(full.data.data(), full.rows, full.cols, mine);
-  }
-  stats->rows = out.keep;
-  return out;
+/// The run's read of rank `rank` of `world`'s rows of `path` (the io
+/// load rule), through the binary frame cache when cached_loads is set.
+io::DataFrame read_rows(const RealRunConfig& config, const std::string& path,
+                        io::CsvReadStats* stats, std::size_t rank = 0,
+                        std::size_t world = 1) {
+  return config.cached_loads
+             ? io::read_csv_cached(path, config.loader, stats, rank, world)
+             : io::read_csv(path, config.loader, stats, rank, world);
 }
 
 /// Makes a load failure symmetric across the ranks of a sharded run. A
@@ -233,6 +191,9 @@ RealRunResult run_real(const RealRunConfig& config,
                         : base_lr;
 
   const auto& [train_path, test_path] = csvs;
+  // Ranks sharing the training rows: batch-step parallelism shards them.
+  const std::size_t world =
+      config.level == sim::ParallelLevel::kBatchStep ? config.ranks : 1;
 
   auto timeline = config.record_timeline
                       ? std::make_shared<trace::Timeline>()
@@ -258,8 +219,12 @@ RealRunResult run_real(const RealRunConfig& config,
 
         // --- Phase 1: data loading (real CSV parse, per rank). -----------
         // With cached_loads the parse happens once and later ranks/runs
-        // map the binary cache. Under batch-step sharding each rank reads
-        // and assembles only the rows it trains on (load_train_rows).
+        // map the binary cache. Under batch-step sharding rank r of P
+        // reads only rows r, r+P, 2P+r, ... (its tail row included) and
+        // trains on the first floor(n/P) of them, so every rank's step
+        // count matches, which the synchronous allreduce requires.
+        // frame_to_dataset checks every read row's label before that cut,
+        // so every row of the file is checked by exactly one rank.
         double load_s = 0.0;
         double pre_begin = 0.0;
         io::CsvReadStats load_stats;
@@ -268,21 +233,20 @@ RealRunResult run_real(const RealRunConfig& config,
         std::exception_ptr load_error;
         try {
           const double load_begin = ctx.now();
-          TrainRows train_rows =
-              load_train_rows(config, train_path, ctx.rank(), &load_stats);
+          io::DataFrame train_frame =
+              read_rows(config, train_path, &load_stats,
+                        world > 1 ? ctx.rank() : 0, world);
+          const std::size_t keep = load_stats.file_rows / world;
+          load_stats.rows = keep;
           io::CsvReadStats test_stats;
-          io::DataFrame test_frame =
-              config.cached_loads
-                  ? io::read_csv_cached(test_path, config.loader, &test_stats)
-                  : io::read_csv(test_path, config.loader, &test_stats);
+          io::DataFrame test_frame = read_rows(config, test_path, &test_stats);
           load_s = ctx.now() - load_begin;
           ctx.record(trace::kDataLoading, "io", load_begin, load_s);
 
           // --- Phase 2: preprocessing. ------------------------------------
           pre_begin = ctx.now();
-          train = frame_to_dataset(std::move(train_rows.frame),
-                                   config.benchmark, geometry.classes,
-                                   train_rows.keep);
+          train = frame_to_dataset(std::move(train_frame), config.benchmark,
+                                   geometry.classes, keep);
           const std::size_t test_rows = test_frame.rows;
           test = frame_to_dataset(std::move(test_frame), config.benchmark,
                                   geometry.classes, test_rows);
@@ -291,7 +255,7 @@ RealRunResult run_real(const RealRunConfig& config,
         }
         // Inside the preprocessing window, so the wait for the slowest
         // rank's load is not charged to the initial broadcast.
-        if (batch_step_sharded(config)) {
+        if (world > 1) {
           agree_on_load(communicator, load_error);
         } else if (load_error) {
           std::rethrow_exception(load_error);

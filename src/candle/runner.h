@@ -42,11 +42,9 @@ struct RealRunConfig {
 
   // Input pipeline (paper §4 data-loading improvements):
   // cached_loads reads the CSVs through the mmap-able binary frame cache
-  // (first run parses and publishes the cache; later runs map it). Under
-  // batch-step sharding each rank then loads only rows r, r+P, ... of the
-  // cache — ~1/P of the payload bytes per rank. Uncached, the chunked
-  // loader tokenizes only those rows of the CSV; the other loaders parse
-  // the whole file and keep only them.
+  // (first run parses and publishes the cache; later runs map it). Either
+  // way a batch-step rank reads only rows r, r+P, ... (io::read_csv's load
+  // rule): from the cache that is ~1/P of the payload bytes per rank.
   bool cached_loads = false;
   // prefetch stages each rank's batches on a background producer thread
   // (double-buffered; bit-identical to the synchronous path — see
@@ -101,9 +99,7 @@ struct RealRunConfig {
 /// Measured results (rank-0 view; ranks are symmetric).
 struct RealRunResult {
   // Rank 0's train + test read. Under batch-step sharding (ranks > 1) the
-  // train read is rank 0's shard: the uncached chunked loader tokenizes
-  // only rank 0's rows, the other loaders parse the whole file and keep
-  // rank 0's rows, and the cache maps only them.
+  // train read is rank 0's rows only (io::read_csv's load rule).
   double data_load_s = 0.0;
   // Assembly of the datasets; under batch-step sharding it also holds the
   // ranks' load agreement, so it absorbs the wait for the slowest load.
@@ -118,7 +114,7 @@ struct RealRunResult {
   float final_loss = 0.0f;
   nn::History history;              // rank 0's epochs
   // Rank 0's train-read stats; `rows` counts the rows rank 0 trains on
-  // (its shard under batch-step sharding).
+  // (its equal shard under batch-step sharding), `file_rows` the file's.
   io::CsvReadStats load_stats;
   std::vector<comm::CommStats> comm_stats;  // per rank
   std::shared_ptr<trace::Timeline> timeline;

@@ -42,7 +42,6 @@ inline constexpr int kRunnerResult = 50;     // candle runner result_mutex
 inline constexpr int kParallelRegion = 40;   // parallel Pool::region_mutex_
 inline constexpr int kParallelDispatch = 30; // parallel Pool::mutex_
 inline constexpr int kCommRendezvous = 20;   // comm::World::reg_mutex_
-inline constexpr int kPhaseLedger = 14;      // hvd::PhaseLedger::mutex_
 inline constexpr int kTimeline = 12;         // trace::Timeline::mutex_
 inline constexpr int kLog = 10;              // common/log sink mutex
 }  // namespace level

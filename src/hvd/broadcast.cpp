@@ -11,7 +11,6 @@ double broadcast_parameters(Context& ctx, const std::vector<Tensor*>& tensors,
   const double bcast_start = ctx.now();
   ctx.record(trace::kNegotiateBroadcast, "broadcast", negotiate_start,
              bcast_start - negotiate_start);
-  ctx.record_phase(trace::kNegotiateBroadcast, bcast_start - negotiate_start);
 
   for (Tensor* t : tensors) ctx.comm().broadcast(t->values(), root);
 

@@ -22,8 +22,8 @@ namespace candle::hvd {
 
 /// Broadcasts every tensor in `tensors` from `root` to all ranks, recording
 /// NEGOTIATE_BROADCAST (barrier wait) and MPI_BCAST (data movement) events
-/// to the context's timeline and the negotiate duration to its PhaseLedger
-/// (both shared across ranks and internally synchronized).
+/// to the context's timeline (shared across ranks and internally
+/// synchronized).
 /// Returns the seconds this rank spent in the negotiate phase.
 ///
 /// Thread contract: called concurrently from every rank thread; `tensors`

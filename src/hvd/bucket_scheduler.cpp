@@ -169,8 +169,6 @@ void BucketScheduler::comm_main() {
     const double negotiated = ctx_->now();
     ctx_->record(trace::kNegotiateAllreduce, "allreduce", negotiate_from,
                  negotiated - negotiate_from);
-    ctx_->record_phase(trace::kNegotiateAllreduce,
-                       negotiated - negotiate_from);
 
     FusionStats stats;
     std::exception_ptr err;

@@ -1,45 +1,10 @@
 #include "hvd/context.h"
 
-#include <algorithm>
-
 namespace candle::hvd {
 
-void PhaseLedger::record(const std::string& phase, std::size_t rank,
-                         double seconds) {
-  MutexLock lock(mutex_);
-  entries_.push_back(Entry{phase, rank, seconds});
-}
-
-PhaseLedger::Summary PhaseLedger::summarize(const std::string& phase) const {
-  MutexLock lock(mutex_);
-  Summary s;
-  for (const Entry& e : entries_) {
-    if (e.phase != phase) continue;
-    if (s.count == 0) {
-      s.min_s = s.max_s = e.seconds;
-    } else {
-      s.min_s = std::min(s.min_s, e.seconds);
-      s.max_s = std::max(s.max_s, e.seconds);
-    }
-    s.total_s += e.seconds;
-    ++s.count;
-  }
-  return s;
-}
-
-std::size_t PhaseLedger::size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
-}
-
-std::vector<PhaseLedger::Entry> PhaseLedger::entries() const {
-  MutexLock lock(mutex_);
-  return entries_;
-}
-
 Context::Context(comm::Communicator& comm, trace::Timeline* timeline,
-                 const Stopwatch* clock, PhaseLedger* ledger)
-    : comm_(&comm), timeline_(timeline), clock_(clock), ledger_(ledger) {}
+                 const Stopwatch* clock)
+    : comm_(&comm), timeline_(timeline), clock_(clock) {}
 
 double Context::now() const {
   return clock_ != nullptr ? clock_->seconds() : own_clock_.seconds();
@@ -49,11 +14,6 @@ void Context::record(const char* name, const char* category, double start_s,
                      double duration_s) {
   if (timeline_ == nullptr) return;
   timeline_->record(name, category, rank(), start_s, duration_s);
-}
-
-void Context::record_phase(const char* phase, double seconds) {
-  if (ledger_ == nullptr) return;
-  ledger_->record(phase, rank(), seconds);
 }
 
 }  // namespace candle::hvd

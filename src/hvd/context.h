@@ -5,69 +5,22 @@
 // hook into the activity timeline (Horovod's HOROVOD_TIMELINE).
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "comm/communicator.h"
 #include "common/stopwatch.h"
-#include "common/thread_annotations.h"
 #include "trace/timeline.h"
 
 namespace candle::hvd {
 
-/// Straggler ledger shared across all rank threads of a World.
-///
-/// Each rank records how long it spent in a rendezvous phase (negotiate
-/// broadcast/allreduce, parameter-server push); after the world joins, the
-/// driver reads the per-phase min/max to quantify the data-loading skew the
-/// paper's Figs 7b/12/19 visualize. All access is serialized by `mutex_`
-/// (discipline verified by clang -Wthread-safety).
-class PhaseLedger {
- public:
-  struct Entry {
-    std::string phase;
-    std::size_t rank = 0;
-    double seconds = 0.0;
-  };
-
-  /// Min/max/total over one phase's entries; skew is the straggler gap.
-  struct Summary {
-    std::size_t count = 0;
-    double min_s = 0.0;
-    double max_s = 0.0;
-    double total_s = 0.0;
-    [[nodiscard]] double skew_s() const { return max_s - min_s; }
-  };
-
-  /// Records one phase duration for `rank` (thread-safe).
-  void record(const std::string& phase, std::size_t rank, double seconds)
-      CANDLE_EXCLUDES(mutex_);
-
-  /// Summary over every entry recorded for `phase`.
-  [[nodiscard]] Summary summarize(const std::string& phase) const
-      CANDLE_EXCLUDES(mutex_);
-
-  [[nodiscard]] std::size_t size() const CANDLE_EXCLUDES(mutex_);
-  [[nodiscard]] std::vector<Entry> entries() const CANDLE_EXCLUDES(mutex_);
-
- private:
-  mutable AnnotatedMutex mutex_{
-      CANDLE_LOCK_LEVEL(lock_order::level::kPhaseLedger),
-      "hvd::PhaseLedger::mutex_"};
-  std::vector<Entry> entries_ CANDLE_GUARDED_BY(mutex_);
-};
-
 /// Per-rank Horovod context, valid on the rank's own thread.
 class Context {
  public:
-  /// `timeline`, `clock`, and `ledger` may be null (no tracing / no skew
-  /// accounting). `clock` supplies the common time origin for events; when
-  /// null, an internal clock starting at construction is used. `timeline`
-  /// and `ledger` are shared across ranks and internally synchronized.
+  /// `timeline` and `clock` may be null (no tracing). `clock` supplies the
+  /// common time origin for events; when null, an internal clock starting
+  /// at construction is used. `timeline` is shared across ranks and
+  /// internally synchronized.
   explicit Context(comm::Communicator& comm,
                    trace::Timeline* timeline = nullptr,
-                   const Stopwatch* clock = nullptr,
-                   PhaseLedger* ledger = nullptr);
+                   const Stopwatch* clock = nullptr);
 
   [[nodiscard]] std::size_t rank() const { return comm_->rank(); }
   [[nodiscard]] std::size_t size() const { return comm_->size(); }
@@ -81,17 +34,12 @@ class Context {
   void record(const char* name, const char* category, double start_s,
               double duration_s);
 
-  /// Records a phase duration for this rank (no-op without a ledger).
-  void record_phase(const char* phase, double seconds);
-
   [[nodiscard]] bool has_timeline() const { return timeline_ != nullptr; }
-  [[nodiscard]] bool has_ledger() const { return ledger_ != nullptr; }
 
  private:
   comm::Communicator* comm_;
   trace::Timeline* timeline_;
   const Stopwatch* clock_;
-  PhaseLedger* ledger_;
   Stopwatch own_clock_;
 };
 

@@ -99,8 +99,6 @@ void DistributedOptimizer::apply(const std::vector<Tensor*>& params,
   const double reduce_start = ctx_->now();
   ctx_->record(trace::kNegotiateAllreduce, "allreduce", negotiate_start,
                reduce_start - negotiate_start);
-  ctx_->record_phase(trace::kNegotiateAllreduce,
-                     reduce_start - negotiate_start);
 
   // Per-bucket NCCL_ALLREDUCE events are recorded inside allreduce_bucket.
   // Rank-local (channel-sharded) gradients are skipped: each rank already

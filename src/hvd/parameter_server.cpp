@@ -46,7 +46,6 @@ void ParameterServerOptimizer::apply(const std::vector<Tensor*>& params,
   if (ctx_->rank() == server_rank_) inner_->apply(params, grads);
   ctx_->record("PS_PUSH_APPLY", "parameter_server", push_start,
                ctx_->now() - push_start);
-  ctx_->record_phase("PS_PUSH_APPLY", ctx_->now() - push_start);
 
   // Pull: workers fetch the updated weights from the server.
   const double pull_start = ctx_->now();

@@ -30,8 +30,8 @@ namespace candle::hvd {
 ///
 /// Thread contract: each rank thread owns its instance (optimizer state is
 /// rank-local); apply() participates in collectives, so every rank must
-/// call it the same number of times. Push/apply durations are recorded to
-/// the context's shared PhaseLedger when one is attached.
+/// call it the same number of times. Push/apply spans are recorded to the
+/// context's timeline when one is attached.
 class ParameterServerOptimizer final : public nn::Optimizer {
  public:
   ParameterServerOptimizer(std::unique_ptr<nn::Optimizer> inner, Context& ctx,

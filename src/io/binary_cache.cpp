@@ -1,13 +1,11 @@
 #include "io/binary_cache.h"
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/error.h"
@@ -30,35 +28,6 @@ std::uint64_t fnv1a(const unsigned char* p, std::size_t n,
 
 /// Window hashed at each end of the source file.
 constexpr std::size_t kHashWindowBytes = 4 * 1024;
-
-/// Owning FILE handle.
-using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
-
-FilePtr open_file(const std::string& path) {
-  return {std::fopen(path.c_str(), "rb"), &std::fclose};
-}
-
-/// Reads the header of `f` and validates it against the file's size.
-FrameCacheHeader read_checked_header(std::FILE* f, const std::string& path) {
-  FrameCacheHeader h{};
-  struct stat st{};
-  if (std::fread(&h, sizeof(h), 1, f) != 1 || ::fstat(::fileno(f), &st) != 0)
-    throw IoError("frame cache: truncated header in " + path);
-  check_header(h, static_cast<std::uint64_t>(st.st_size), path);
-  return h;
-}
-
-/// Reads just the header; returns false on a missing or invalid file.
-bool read_header(const std::string& path, FrameCacheHeader& h) {
-  const FilePtr f = open_file(path);
-  if (f == nullptr) return false;
-  try {
-    h = read_checked_header(f.get(), path);
-    return true;
-  } catch (const IoError&) {
-    return false;
-  }
-}
 
 void write_frame(const DataFrame& df, const std::string& path,
                  const SourceFingerprint& source) {
@@ -98,16 +67,21 @@ void write_frame(const DataFrame& df, const std::string& path,
   }
 }
 
-void fill_hit_stats(CsvReadStats* stats, const Stopwatch& watch,
-                    std::size_t payload_bytes, std::size_t rows,
-                    std::size_t cols) {
-  if (stats == nullptr) return;
-  stats->seconds = watch.seconds();
-  stats->bytes = kFrameCachePayloadOffset + payload_bytes;
-  stats->rows = rows;
-  stats->cols = cols;
-  stats->chunks = 0;
-  stats->piece_allocs = 0;
+/// The mapped cache at `cache` when it is a valid CFR2 image built from
+/// the CSV fingerprinted as `fp`. Hit criterion: size + content hash. The
+/// mtime is recorded in the header for diagnostics but deliberately not
+/// required to match — benchmark harnesses rewrite byte-identical CSVs
+/// every run, which must stay warm.
+std::optional<MappedFrame> map_fresh(const std::string& cache,
+                                     const SourceFingerprint& fp) {
+  try {
+    MappedFrame frame(cache);
+    const FrameCacheHeader& h = frame.header();
+    if (h.source_bytes == fp.bytes && h.source_hash == fp.hash) return frame;
+  } catch (const IoError&) {
+    // Missing, torn or old-format cache: a miss.
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -125,16 +99,6 @@ void check_header(const FrameCacheHeader& h, std::uint64_t file_bytes,
   if (!fits || file_bytes < kFrameCachePayloadOffset ||
       file_bytes - kFrameCachePayloadOffset != h.rows * h.cols * sizeof(float))
     throw IoError("frame cache: payload size mismatch in " + path);
-}
-
-std::vector<std::size_t> shard_rows(std::size_t rows, std::size_t rank,
-                                    std::size_t world) {
-  require(world > 0, "shard_rows: world must be > 0");
-  require(rank < world, "shard_rows: rank out of range");
-  require(rows >= world, "shard_rows: fewer rows than ranks");
-  std::vector<std::size_t> mine(rows / world);
-  for (std::size_t i = 0; i < mine.size(); ++i) mine[i] = i * world + rank;
-  return mine;
 }
 
 SourceFingerprint fingerprint_source(const std::string& path) {
@@ -171,78 +135,35 @@ void save_frame(const DataFrame& df, const std::string& path) {
   write_frame(df, path, SourceFingerprint{});
 }
 
-DataFrame load_frame(const std::string& path, CsvReadStats* stats) {
-  Stopwatch watch;
-  const FilePtr f = open_file(path);
-  if (f == nullptr) throw IoError("load_frame: cannot open " + path);
-  const FrameCacheHeader h = read_checked_header(f.get(), path);
-  DataFrame df;
-  df.rows = h.rows;
-  df.cols = h.cols;
-  df.data.resize(df.rows * df.cols);
-  const bool ok =
-      std::fseek(f.get(), static_cast<long>(h.payload_offset), SEEK_SET) ==
-          0 &&
-      std::fread(df.data.data(), sizeof(float), df.data.size(), f.get()) ==
-          df.data.size();
-  if (!ok) throw IoError("load_frame: truncated payload in " + path);
-  fill_hit_stats(stats, watch, df.data.size() * sizeof(float), df.rows,
-                 df.cols);
-  return df;
-}
-
-bool is_cached_frame(const std::string& path) {
-  FrameCacheHeader h{};
-  return read_header(path, h);
-}
-
 std::string cache_path_for(const std::string& csv_path) {
   return csv_path + ".bin";
 }
 
 DataFrame read_csv_cached(const std::string& csv_path, LoaderKind loader,
-                          CsvReadStats* stats) {
+                          CsvReadStats* stats, std::size_t rank,
+                          std::size_t world) {
   const std::string cache = cache_path_for(csv_path);
   const SourceFingerprint fp = fingerprint_source(csv_path);
-
-  // Hit criterion: size + content hash. The mtime is recorded in the header
-  // for diagnostics but deliberately not required to match — benchmark
-  // harnesses rewrite byte-identical CSVs every run, which must stay warm.
-  FrameCacheHeader h{};
-  if (read_header(cache, h) && h.source_bytes == fp.bytes &&
-      h.source_hash == fp.hash)
-    return load_frame(cache, stats);  // hit: stats->chunks == 0
-
-  DataFrame df = read_csv(csv_path, loader, stats);
-  write_frame(df, cache, fp);
-  return df;
-}
-
-DataFrame read_csv_cached_sharded(const std::string& csv_path,
-                                  std::size_t rank, std::size_t world,
-                                  LoaderKind loader, CsvReadStats* stats) {
-  const std::string cache = cache_path_for(csv_path);
-  const SourceFingerprint fp = fingerprint_source(csv_path);
-
-  FrameCacheHeader h{};
-  if (read_header(cache, h) && h.source_bytes == fp.bytes &&
-      h.source_hash == fp.hash) {
-    // Warm path: copy only this rank's rows out of the mapped image.
-    return load_frame_rows(cache, shard_rows(h.rows, rank, world), stats);
-  }
-
-  // Cold path: one full parse (every racing rank parses; the rename
-  // publish keeps the cache consistent), then gather the shard.
   Stopwatch watch;
-  DataFrame df = read_csv(csv_path, loader, stats);
-  write_frame(df, cache, fp);
-  DataFrame shard = copy_rows(df.data.data(), df.rows, df.cols,
-                              shard_rows(df.rows, rank, world));
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();  // parse + cache build + gather
-    stats->rows = shard.rows;
+  if (const std::optional<MappedFrame> frame = map_fresh(cache, fp)) {
+    // Hit: copy this rank's rows out of the mapped image, touching only
+    // the header and the pages that hold them.
+    DataFrame df = copy_shard(frame->payload(), frame->rows(), frame->cols(),
+                              rank, world);
+    if (stats != nullptr)
+      *stats = {watch.seconds(),
+                kFrameCachePayloadOffset + df.data.size() * sizeof(float),
+                df.rows, df.cols, 0, 0, frame->rows()};
+    return df;
   }
-  return shard;
+
+  // Miss: one full parse (every racing rank parses; the rename publish
+  // keeps the cache consistent), then this rank's rows.
+  DataFrame full = read_csv(csv_path, loader, stats);
+  write_frame(full, cache, fp);
+  DataFrame mine = take_shard(std::move(full), rank, world, stats);
+  if (stats != nullptr) stats->seconds = watch.seconds();  // + build, copy
+  return mine;
 }
 
 }  // namespace candle::io

@@ -2,9 +2,10 @@
 //
 // The paper speeds up repeated CSV parsing; the obvious follow-on (used by
 // later CANDLE releases via .npy feather caches) is to parse once and keep
-// a binary image whose load cost is a single sequential read. This module
-// implements that: a cached frame is a fixed header, zero padding up to a
-// 64-byte payload offset, then the raw row-major float payload.
+// a binary image whose load cost is a memory copy. This module implements
+// that: a cached frame is a fixed header, zero padding up to a 64-byte
+// payload offset, then the raw row-major float payload. MappedFrame
+// (io/mapped_frame.h) is the one reader of the payload.
 //
 // Format v2 ("CFR2"):
 //   * the payload starts at kFrameCachePayloadOffset (cache-line aligned,
@@ -21,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "io/csv_reader.h"
 #include "io/dataframe.h"
@@ -70,42 +70,21 @@ SourceFingerprint fingerprint_source(const std::string& path);
 /// Writes `df` as a binary cache file at `path` (no source fingerprint).
 void save_frame(const DataFrame& df, const std::string& path);
 
-/// Loads a cache written by save_frame; throws IoError on corruption or an
-/// old-format (non-CFR2) magic.
-DataFrame load_frame(const std::string& path, CsvReadStats* stats = nullptr);
-
-/// True when `path` exists and passes check_header.
-bool is_cached_frame(const std::string& path);
-
-/// Loads `csv_path` through the cache: on a cache hit (cache file exists
-/// and its stored fingerprint matches the CSV's current size and content
-/// hash; the recorded mtime is diagnostic only, so rewriting an identical
-/// CSV stays warm), reads the binary image; on a miss, parses the CSV with
-/// `loader`, writes the cache, and returns the frame. `stats->chunks` is 0
-/// on a hit (no parsing happened).
+/// Loads `csv_path` through the cache and returns rank `rank` of `world`'s
+/// rows (the load rule in csv_reader.h). On a cache hit (the cache file
+/// exists, passes check_header and its stored fingerprint matches the
+/// CSV's current size and content hash; the recorded mtime is diagnostic
+/// only, so rewriting an identical CSV stays warm) the rows are copied out
+/// of the memory-mapped image (MappedFrame): `stats->chunks` is 0 and
+/// `stats->bytes` counts the header plus the copied rows only, so per-rank
+/// load bytes scale ~1/world. On a miss the CSV is parsed in full with
+/// `loader`, the cache is published and the rank's rows are kept. Throws
+/// InvalidArgument when rank >= world or the frame has fewer rows than
+/// world.
 DataFrame read_csv_cached(const std::string& csv_path,
                           LoaderKind loader = LoaderKind::kChunked,
-                          CsvReadStats* stats = nullptr);
-
-/// Shard-aware cached read for batch-step data parallelism: rank `rank` of
-/// `world` returns only rows rank, rank + world, ... of the frame — exactly
-/// floor(rows / world) of them, the equal shard sizes the synchronous
-/// allreduce requires. On a warm cache the rows are copied straight out of
-/// the memory-mapped image, so per-rank load bytes scale ~1/world instead
-/// of every rank reading the full file (the mmap analogue of the paper's
-/// Table 3 fix). On a miss the CSV is parsed once (full), the cache is
-/// written, and the shard is gathered from the parsed frame.
-DataFrame read_csv_cached_sharded(const std::string& csv_path,
-                                  std::size_t rank, std::size_t world,
-                                  LoaderKind loader = LoaderKind::kChunked,
-                                  CsvReadStats* stats = nullptr);
-
-/// The batch-step shard rule: rank `rank` of `world` owns rows rank,
-/// rank + world, ... — exactly floor(rows / world) of them, so every rank
-/// steps the same number of batches. Throws InvalidArgument when `world`
-/// is 0, `rank` >= `world` or `rows` < `world`.
-std::vector<std::size_t> shard_rows(std::size_t rows, std::size_t rank,
-                                    std::size_t world);
+                          CsvReadStats* stats = nullptr, std::size_t rank = 0,
+                          std::size_t world = 1);
 
 /// Cache file path derived from a CSV path ("x.csv" -> "x.csv.bin").
 std::string cache_path_for(const std::string& csv_path);

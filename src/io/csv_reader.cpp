@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,12 +50,19 @@ struct File {
 /// cells at comparable speed under both low_memory settings — the
 /// low_memory=True penalty the paper measured comes from per-(chunk,
 /// column) piece management and consolidation, which flush_chunk models.
+/// A finite cell that rounds past the largest float (at or above
+/// FLT_MAX + half an ulp) is an IoError, as in the fast readers: the
+/// float conversion of such a double is undefined.
 inline double parse_double(const char* begin, const char* end) {
   if (begin == end) return 0.0;  // empty field == NaN -> 0
+  constexpr double kFloatOverflow = 0x1.ffffffp127;
   double v = 0.0;
   const auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec != std::errc{} || ptr != end)
     throw IoError("read_csv: malformed numeric field '" +
+                  std::string(begin, end) + "'");
+  if (std::isfinite(v) && std::fabs(v) >= kFloatOverflow)
+    throw IoError("read_csv: numeric field beyond float range '" +
                   std::string(begin, end) + "'");
   return v;
 }
@@ -350,14 +358,9 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats,
     for (std::size_t r = 0; r < total_rows; ++r)
       df.data[r * cols + c] = static_cast<float>(columns[c][r]);
 
-  if (stats != nullptr) {
-    stats->seconds = watch.seconds();
-    stats->bytes = file_bytes;
-    stats->rows = df.rows;
-    stats->cols = df.cols;
-    stats->chunks = chunks;
-    stats->piece_allocs = piece_allocs;
-  }
+  if (stats != nullptr)
+    *stats = {watch.seconds(), file_bytes, df.rows, df.cols, chunks,
+              piece_allocs, df.rows};
   return df;
 }
 
@@ -513,15 +516,40 @@ DataFrame read_csv_parallel(const std::string& path, CsvReadStats* stats,
   return df;
 }
 
+DataFrame copy_shard(const float* payload, std::size_t rows, std::size_t cols,
+                     std::size_t rank, std::size_t world) {
+  require(rank < world, "read_csv: rank out of range");
+  require(rows >= world, "read_csv: fewer rows than ranks");
+  DataFrame df;
+  df.rows = (rows - rank + world - 1) / world;
+  df.cols = cols;
+  df.data.reserve(df.rows * cols);
+  for (std::size_t r = rank; r < rows; r += world)
+    df.data.insert(df.data.end(), payload + r * cols, payload + (r + 1) * cols);
+  return df;
+}
+
+DataFrame take_shard(DataFrame&& full, std::size_t rank, std::size_t world,
+                     CsvReadStats* stats) {
+  if (world == 1 && rank == 0) return std::move(full);
+  DataFrame mine =
+      copy_shard(full.data.data(), full.rows, full.cols, rank, world);
+  if (stats != nullptr) stats->rows = mine.rows;
+  return mine;
+}
+
 DataFrame read_csv(const std::string& path, LoaderKind kind,
-                   CsvReadStats* stats) {
+                   CsvReadStats* stats, std::size_t rank, std::size_t world) {
+  DataFrame full;
   switch (kind) {
-    case LoaderKind::kOriginal: return read_csv_original(path, stats);
-    case LoaderKind::kChunked: return read_csv_chunked(path, stats);
-    case LoaderKind::kDask: return read_csv_dask(path, stats);
-    case LoaderKind::kParallel: return read_csv_parallel(path, stats);
+    case LoaderKind::kChunked:
+      return read_csv_chunked(path, stats, kChunkBytes, rank, world);
+    case LoaderKind::kOriginal: full = read_csv_original(path, stats); break;
+    case LoaderKind::kDask: full = read_csv_dask(path, stats); break;
+    case LoaderKind::kParallel: full = read_csv_parallel(path, stats); break;
+    default: throw InvalidArgument("read_csv: bad loader kind");
   }
-  throw InvalidArgument("read_csv: bad loader kind");
+  return take_shard(std::move(full), rank, world, stats);
 }
 
 }  // namespace candle::io

@@ -47,9 +47,18 @@
 // read_csv_original (its int64 inference reads "-0" as the integer 0, as
 // pandas does) and -0.0 in the other three. Two rounding corner cases, which
 // CsvWriter never writes, also part them: read_csv_original converts
-// through float64, so a cell beyond float range reads as inf or 0 there
-// but throws IoError in the fast readers, and a cell within a float64 ulp
-// of a float rounding tie can round the other way.
+// through float64, so a nonzero cell too small to survive as a float reads
+// as 0 there but throws IoError in the fast readers, and a cell within a
+// float64 ulp of a float rounding tie can round the other way. A finite
+// cell beyond float range throws IoError in every reader.
+//
+// The load rule lives here too. read_csv and read_csv_cached (binary_cache.h)
+// are the only load entry points, and both take the same row shard: rank
+// `rank` of `world` gets rows i (0-based, blank lines not counted) with
+// i % world == rank, in file order, its tail row included, and
+// CsvReadStats::file_rows counts the whole file's rows. Equal shards (the
+// first file_rows / world rows of every rank) are the caller's cut, made
+// after it has checked the tail rows too.
 #pragma once
 
 #include <cstddef>
@@ -71,9 +80,8 @@ struct CsvReadStats {
   std::size_t cols = 0;
   std::size_t chunks = 0;      // text chunks (original) or blocks (chunked)
   std::size_t piece_allocs = 0;  // per-(chunk,column) buffers (original only)
-  // Rows in the whole file: equal to `rows` except under a strided
-  // read_csv_chunked, where `rows` counts only the kept rows. The fast
-  // readers set it; read_csv_original leaves it untouched.
+  // Rows in the whole file: equal to `rows` except under a row shard
+  // (world > 1), where `rows` counts only the rank's rows.
   std::size_t file_rows = 0;
 };
 
@@ -85,16 +93,13 @@ DataFrame read_csv_original(const std::string& path, CsvReadStats* stats = nullp
 /// The paper's optimized loader: chunked read with low_memory=False.
 /// `chunk_bytes` defaults to kChunkBytes.
 ///
-/// Row shard: with world > 1 the read keeps only the rows i (0-based, blank
-/// lines not counted) with i % world == rank, in file order, tail rows
-/// included; the other rows are split off at their newline and never
-/// tokenized, so only kept rows can raise a malformed-cell or ragged-row
-/// IoError. Every rank takes the frame width from the file's first row, so
-/// the world ranks' frames interleave to exactly the world = 1 frame and
-/// every row is checked by exactly one rank. Equal shards (io::shard_rows:
-/// the first file_rows / world kept rows) are the caller's cut, made after
-/// it has checked the tail. Throws InvalidArgument when rank >= world or
-/// the file has fewer rows than world, IoError when it has none.
+/// Row shard (the load rule above): with world > 1 the rows this rank does
+/// not keep are split off at their newline and never tokenized, so only
+/// kept rows can raise a malformed-cell or ragged-row IoError. Every rank
+/// takes the frame width from the file's first row, so the world ranks'
+/// frames interleave to exactly the world = 1 frame and every row is
+/// checked by exactly one rank. Throws InvalidArgument when rank >= world
+/// or the file has fewer rows than world, IoError when it has none.
 DataFrame read_csv_chunked(const std::string& path, CsvReadStats* stats = nullptr,
                            std::size_t chunk_bytes = kChunkBytes,
                            std::size_t rank = 0, std::size_t world = 1);
@@ -116,8 +121,24 @@ enum class LoaderKind { kOriginal, kChunked, kDask, kParallel };
 
 std::string loader_name(LoaderKind kind);
 
-/// Dispatches to one of the readers above.
+/// Reads rank `rank` of `world`'s rows (the load rule above) with one of
+/// the readers above: kChunked tokenizes only those rows, the others parse
+/// the whole file and copy them out (copy_shard). Throws InvalidArgument
+/// when rank >= world or the file has fewer rows than world.
 DataFrame read_csv(const std::string& path, LoaderKind kind,
-                   CsvReadStats* stats = nullptr);
+                   CsvReadStats* stats = nullptr, std::size_t rank = 0,
+                   std::size_t world = 1);
+
+/// Copies rank `rank` of `world`'s rows (the load rule above) out of a
+/// row-major `rows` x `cols` payload into a fresh frame. Throws
+/// InvalidArgument when rank >= world or rows < world.
+DataFrame copy_shard(const float* payload, std::size_t rows, std::size_t cols,
+                     std::size_t rank, std::size_t world);
+
+/// Keeps rank `rank` of `world`'s rows of a whole-file frame: the frame
+/// itself when world is 1, else copy_shard of it, with `stats->rows` (when
+/// requested) set to the kept rows.
+DataFrame take_shard(DataFrame&& full, std::size_t rank, std::size_t world,
+                     CsvReadStats* stats);
 
 }  // namespace candle::io

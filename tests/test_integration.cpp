@@ -16,6 +16,7 @@
 
 #include "candle/runner.h"
 #include "common/error.h"
+#include "io/binary_cache.h"
 #include "io/csv_reader.h"
 #include "sim/run_sim.h"
 
@@ -313,31 +314,55 @@ TEST_F(RunnerTest, HostileTrainRowsFailEveryShardedRankAlike) {
   std::vector<std::string> bad_label = tailed;
   bad_label.back().replace(0, bad_label.back().find(','), "99");
 
-  for (const auto loader :
-       {io::LoaderKind::kChunked, io::LoaderKind::kOriginal}) {
-    SCOPED_TRACE(io::loader_name(loader));
-    config_.loader = loader;
-    const bool shard_parse = loader == io::LoaderKind::kChunked;
+  // The uncached loaders, then the binary frame cache on a cold cache (it
+  // parses the whole file) and warm (a text error leaves no cache, so only
+  // bad_label maps the image its cold run built): a cached shard keeps its
+  // tail row too.
+  struct LoadPath {
+    io::LoaderKind loader;
+    bool cached;
+    bool warm;
+  };
+  for (const LoadPath load : {LoadPath{io::LoaderKind::kChunked, false, false},
+                              LoadPath{io::LoaderKind::kOriginal, false, false},
+                              LoadPath{io::LoaderKind::kChunked, true, false},
+                              LoadPath{io::LoaderKind::kChunked, true, true}}) {
+    SCOPED_TRACE(io::loader_name(load.loader) +
+                 (load.cached ? load.warm ? ", warm cache" : ", cold cache"
+                              : ""));
+    config_.loader = load.loader;
+    config_.cached_loads = load.cached;
+    const bool shard_parse =
+        load.loader == io::LoaderKind::kChunked && !load.cached;
+    const auto write = [&](const std::vector<std::string>& lines) {
+      write_lines(csvs.first, lines);
+      if (load.cached && !load.warm)
+        std::filesystem::remove(io::cache_path_for(csvs.first));
+    };
 
-    write_lines(csvs.first, malformed);
+    write(malformed);
     std::string what = run_real_throws<IoError>(config_, csvs);
     if (shard_parse) {
       EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
     }
 
-    write_lines(csvs.first, ragged);
+    write(ragged);
     what = run_real_throws<IoError>(config_, csvs);
     if (shard_parse) {
       EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
     }
 
-    write_lines(csvs.first, bad_label);
+    // Parses cleanly, so the cold run publishes the cache the warm one maps.
+    write(bad_label);
     what = run_real_throws<InvalidArgument>(config_, csvs);
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
   }
-  // The clean file still trains.
+  // The clean file still trains, uncached and cached.
   write_lines(csvs.first, clean);
-  EXPECT_EQ(run_real(config_, csvs).epochs_rank0, 1u);
+  for (const bool cached : {false, true}) {
+    config_.cached_loads = cached;
+    EXPECT_EQ(run_real(config_, csvs).epochs_rank0, 1u);
+  }
 }
 
 TEST_F(RunnerTest, CheckpointsAreWrittenAndResumable) {

@@ -1,7 +1,7 @@
 // Tests for src/io: CSV writer, the four readers (frame equality on an
 // edge-case table + the performance shape behind the paper's
-// optimization), the chunked reader's row shard, the binary frame cache,
-// synthetic data.
+// optimization), the load rule's row shard on every read path, the binary
+// frame cache, synthetic data.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -318,6 +318,7 @@ std::vector<EdgeCase> edge_cases() {
       {"malformed number", "1,2\n3,x4\n", {}, 0},
       {"only blank lines", "\n\r\n\n", {}, 0},
       {"minus zero", "-0,1\n2,3\n", {-0.0f, 1, 2, 3}, 2, {0.0f, 1, 2, 3}},
+      {"beyond float range", "1,2\n1e40,3\n", {}, 0},
   };
 
   // Rows wider than a 4096-byte block.
@@ -369,10 +370,45 @@ TEST_F(CsvReaderTest, EdgeCasesGiveOneFrameOrOneIoErrorAcrossReaders) {
   }
 }
 
-// Row shard: rank r of world keeps rows r, r + world, ... (tail included),
-// bit for bit the rows of the full read; its first rows / world rows are
-// io::shard_rows' equal shard.
+// Row shard (the load rule): rank r of world keeps rows r, r + world, ...
+// (tail included), bit for bit the rows of the full read, on every read
+// path: the strided chunked read at any block size, read_csv for every
+// LoaderKind, and read_csv_cached on a cold and on a warm cache.
 TEST_F(CsvReaderTest, ShardedChunkedReadKeepsEveryWorldthRow) {
+  using ShardReader = std::function<DataFrame(
+      const std::string&, CsvReadStats*, std::size_t, std::size_t)>;
+  std::vector<std::pair<std::string, ShardReader>> readers;
+  readers.emplace_back("chunked@4096", [](const std::string& p,
+                                          CsvReadStats* st, std::size_t r,
+                                          std::size_t w) {
+    return read_csv_chunked(p, st, 4096, r, w);
+  });
+  for (auto kind : {LoaderKind::kOriginal, LoaderKind::kChunked,
+                    LoaderKind::kDask, LoaderKind::kParallel})
+    readers.emplace_back(loader_name(kind), [kind](const std::string& p,
+                                                   CsvReadStats* st,
+                                                   std::size_t r,
+                                                   std::size_t w) {
+      return read_csv(p, kind, st, r, w);
+    });
+  readers.emplace_back("cached, cold", [](const std::string& p,
+                                          CsvReadStats* st, std::size_t r,
+                                          std::size_t w) {
+    std::filesystem::remove(cache_path_for(p));
+    DataFrame df = read_csv_cached(p, LoaderKind::kOriginal, st, r, w);
+    EXPECT_GT(st->chunks, 0u);  // parsed
+    return df;
+  });
+  readers.emplace_back("cached, warm", [](const std::string& p,
+                                          CsvReadStats* st, std::size_t r,
+                                          std::size_t w) {
+    DataFrame df = read_csv_cached(p, LoaderKind::kOriginal, st, r, w);
+    EXPECT_EQ(st->chunks, 0u);  // mapped
+    EXPECT_EQ(st->bytes, kFrameCachePayloadOffset +
+                             df.data.size() * sizeof(float));
+    return df;
+  });
+
   // CRLF endings and blank lines between rows; 13 rows divide by no world
   // above 1, 12 by every world up to 4.
   for (const std::size_t n : {std::size_t{12}, std::size_t{13}}) {
@@ -385,30 +421,24 @@ TEST_F(CsvReaderTest, ShardedChunkedReadKeepsEveryWorldthRow) {
     write_file("shard.csv", text);
     const DataFrame full = read_csv_chunked(path("shard.csv"));
     ASSERT_EQ(full.rows, n);
-    for (const std::size_t chunk : {std::size_t{4096}, kChunkBytes}) {
+    for (const auto& [reader, read] : readers) {
       for (std::size_t world = 1; world <= 4; ++world) {
         for (std::size_t rank = 0; rank < world; ++rank) {
-          SCOPED_TRACE(std::to_string(n) + " rows, chunk " +
-                       std::to_string(chunk) + ", rank " +
+          SCOPED_TRACE(std::to_string(n) + " rows, " + reader + ", rank " +
                        std::to_string(rank) + " of " + std::to_string(world));
           CsvReadStats stats;
-          const DataFrame shard = read_csv_chunked(path("shard.csv"), &stats,
-                                                   chunk, rank, world);
-          std::vector<std::size_t> mine = shard_rows(n, rank, world);
-          const DataFrame equal =
-              copy_rows(full.data.data(), full.rows, full.cols, mine);
-          if (rank < n % world) mine.push_back(n / world * world + rank);
-          const DataFrame owned =
-              copy_rows(full.data.data(), full.rows, full.cols, mine);
+          const DataFrame shard = read(path("shard.csv"), &stats, rank, world);
+          std::vector<float> owned;
+          for (std::size_t i = rank; i < n; i += world)
+            owned.insert(owned.end(), full.data.begin() + i * full.cols,
+                         full.data.begin() + (i + 1) * full.cols);
           EXPECT_EQ(stats.file_rows, n);
           EXPECT_EQ(stats.rows, shard.rows);
           ASSERT_EQ(shard.cols, full.cols);
-          ASSERT_EQ(shard.rows, owned.rows);
-          ASSERT_EQ(shard.data.size(), owned.data.size());
-          EXPECT_EQ(0, std::memcmp(shard.data.data(), owned.data.data(),
-                                   owned.data.size() * sizeof(float)));
-          EXPECT_EQ(0, std::memcmp(shard.data.data(), equal.data.data(),
-                                   equal.data.size() * sizeof(float)));
+          ASSERT_EQ(shard.rows, (n - rank + world - 1) / world);
+          ASSERT_EQ(shard.data.size(), owned.size());
+          EXPECT_EQ(0, std::memcmp(shard.data.data(), owned.data(),
+                                   owned.size() * sizeof(float)));
         }
       }
     }
@@ -417,11 +447,22 @@ TEST_F(CsvReaderTest, ShardedChunkedReadKeepsEveryWorldthRow) {
 
 TEST_F(CsvReaderTest, ShardedChunkedReadRejectsBadShards) {
   write_file("three.csv", "1,2\n3,4\n5,6\n");
-  // Fewer rows than ranks: InvalidArgument, as io::shard_rows throws.
+  // Fewer rows than ranks, or a rank out of range: InvalidArgument, on
+  // every read path.
   EXPECT_THROW((void)read_csv_chunked(path("three.csv"), nullptr, kChunkBytes,
                                       0, 4),
                InvalidArgument);
-  EXPECT_THROW((void)shard_rows(3, 0, 4), InvalidArgument);
+  EXPECT_THROW((void)read_csv(path("three.csv"), LoaderKind::kOriginal,
+                              nullptr, 0, 4),
+               InvalidArgument);
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+    EXPECT_THROW((void)read_csv_cached(path("three.csv"), LoaderKind::kChunked,
+                                       nullptr, 0, 4),
+                 InvalidArgument);
+    EXPECT_THROW((void)read_csv_cached(path("three.csv"), LoaderKind::kChunked,
+                                       nullptr, 1, 1),
+                 InvalidArgument);
+  }
   EXPECT_THROW((void)read_csv_chunked(path("three.csv"), nullptr, kChunkBytes,
                                       2, 2),
                InvalidArgument);
@@ -490,13 +531,11 @@ TEST_F(BinaryCacheTest, SaveLoadRoundTrip) {
   write_synthetic_csv(path("c.csv"), {40, 12, false}, 8);
   const DataFrame original = read_csv_chunked(path("c.csv"));
   save_frame(original, path("c.bin"));
-  CsvReadStats stats;
-  const DataFrame loaded = load_frame(path("c.bin"), &stats);
+  const DataFrame loaded = MappedFrame(path("c.bin")).to_frame();
   ASSERT_EQ(loaded.rows, original.rows);
   ASSERT_EQ(loaded.cols, original.cols);
   for (std::size_t i = 0; i < loaded.data.size(); ++i)
     ASSERT_FLOAT_EQ(loaded.data[i], original.data[i]);
-  EXPECT_EQ(stats.chunks, 0u);  // no parsing happened
 }
 
 TEST_F(BinaryCacheTest, CachedReadHitsAfterFirstMiss) {
@@ -505,7 +544,7 @@ TEST_F(BinaryCacheTest, CachedReadHitsAfterFirstMiss) {
   const DataFrame first = read_csv_cached(path("d.csv"),
                                           LoaderKind::kChunked, &miss_stats);
   EXPECT_GT(miss_stats.chunks, 0u);  // parsed the CSV
-  EXPECT_TRUE(is_cached_frame(cache_path_for(path("d.csv"))));
+  EXPECT_NO_THROW((void)MappedFrame(cache_path_for(path("d.csv"))));
 
   CsvReadStats hit_stats;
   const DataFrame second = read_csv_cached(path("d.csv"),
@@ -530,10 +569,10 @@ TEST_F(BinaryCacheTest, StaleCacheInvalidatedWhenCsvChanges) {
 
 TEST_F(BinaryCacheTest, CorruptCacheRejected) {
   write_file("bad.bin", "CFR1 garbage");
-  EXPECT_THROW(load_frame(path("bad.bin")), IoError);
+  EXPECT_THROW((void)MappedFrame(path("bad.bin")), IoError);
   write_file("worse.bin", "XXXX");
-  EXPECT_THROW(load_frame(path("worse.bin")), IoError);
-  EXPECT_FALSE(is_cached_frame(path("missing.bin")));
+  EXPECT_THROW((void)MappedFrame(path("worse.bin")), IoError);
+  EXPECT_THROW((void)MappedFrame(path("missing.bin")), IoError);
 }
 
 TEST_F(BinaryCacheTest, CacheLoadIsFasterThanParsing) {

@@ -106,10 +106,9 @@ void expect_tensors_equal(const Tensor& a, const Tensor& b) {
 
 TEST_F(MappedFrameTest, MatchesHeapLoadAndIsAligned) {
   io::write_synthetic_csv(path("m.csv"), {33, 9, false}, 11);
-  const io::DataFrame parsed = io::read_csv_cached(path("m.csv"));
+  const io::DataFrame heap = io::read_csv_cached(path("m.csv"));  // parsed
+  expect_frames_equal(io::read_csv_cached(path("m.csv")), heap);  // mapped
   const std::string cache = io::cache_path_for(path("m.csv"));
-  const io::DataFrame heap = io::load_frame(cache);
-  expect_frames_equal(parsed, heap);
 
   const io::MappedFrame mapped(cache);
   ASSERT_EQ(mapped.rows(), heap.rows);
@@ -141,18 +140,23 @@ TEST_F(MappedFrameTest, CorruptionAndTruncationThrow) {
   v1.replace(0, 4, "CFR1");
   write_file("v1.bin", v1);
   EXPECT_THROW(io::MappedFrame(path("v1.bin")), IoError);
-  EXPECT_THROW((void)io::load_frame(path("v1.bin")), IoError);
 
-  // A valid cache truncated mid-payload: the mapped reader must reject it
-  // up front (the heap loader detects the same via a short read).
+  // A valid cache truncated mid-payload: the mapped reader rejects it up
+  // front, so a cached read, sharded or not, treats it as a miss: it
+  // re-parses the CSV and republishes a whole image.
   io::write_synthetic_csv(path("t.csv"), {20, 6, false}, 1);
   (void)io::read_csv_cached(path("t.csv"));
   const std::string cache = io::cache_path_for(path("t.csv"));
   const auto full = std::filesystem::file_size(cache);
   std::filesystem::resize_file(cache, full - 5);
   EXPECT_THROW((void)io::MappedFrame{cache}, IoError);
-  EXPECT_THROW((void)io::load_frame(cache), IoError);
-  EXPECT_THROW((void)io::load_frame_rows(cache, {0}), IoError);
+  io::CsvReadStats rebuilt;
+  const io::DataFrame shard = io::read_csv_cached(
+      path("t.csv"), io::LoaderKind::kChunked, &rebuilt, 1, 2);
+  EXPECT_GT(rebuilt.chunks, 0u);
+  EXPECT_EQ(shard.rows, 10u);
+  EXPECT_EQ(std::filesystem::file_size(cache), full);
+  EXPECT_EQ(io::MappedFrame{cache}.rows(), 20u);
 
   // Trailing bytes after the payload.
   io::write_synthetic_csv(path("u.csv"), {20, 6, false}, 2);
@@ -160,8 +164,6 @@ TEST_F(MappedFrameTest, CorruptionAndTruncationThrow) {
   const std::string padded = io::cache_path_for(path("u.csv"));
   std::ofstream(padded, std::ios::binary | std::ios::app) << "tail";
   EXPECT_THROW((void)io::MappedFrame{padded}, IoError);
-  EXPECT_THROW((void)io::load_frame(padded), IoError);
-  EXPECT_FALSE(io::is_cached_frame(padded));
 
   // A hostile 64-byte header: rows = 2^62 and cols = 1 make the payload
   // size rows * cols * 4 wrap to 0, which matches the empty payload.
@@ -174,33 +176,48 @@ TEST_F(MappedFrameTest, CorruptionAndTruncationThrow) {
   std::memcpy(hostile.data(), &h, sizeof(h));
   write_file("hostile.bin", hostile);
   EXPECT_THROW(io::MappedFrame(path("hostile.bin")), IoError);
-  EXPECT_THROW((void)io::load_frame(path("hostile.bin")), IoError);
-  EXPECT_FALSE(io::is_cached_frame(path("hostile.bin")));
 }
 
 TEST_F(MappedFrameTest, LoadFrameRowsCopiesSubsetsAndCountsTouchedBytes) {
+  // 25 rows: rank 1 of 3 owns rows 1, 4, ..., 22 (8 rows, no tail row);
+  // rank 0 owns 0, 3, ..., 24 (9 rows, with the tail row 24).
   io::write_synthetic_csv(path("r.csv"), {25, 8, false}, 3);
   const io::DataFrame full = io::read_csv_cached(path("r.csv"));
   const std::string cache = io::cache_path_for(path("r.csv"));
+  const io::MappedFrame mapped(cache);
 
-  // Any order, repeats allowed.
-  const std::vector<std::size_t> rows{24, 0, 7, 7, 13};
-  io::CsvReadStats stats;
-  const io::DataFrame picked = io::load_frame_rows(cache, rows, &stats);
-  ASSERT_EQ(picked.rows, rows.size());
-  ASSERT_EQ(picked.cols, full.cols);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    ASSERT_EQ(0, std::memcmp(picked.data.data() + i * picked.cols,
-                             full.data.data() + rows[i] * full.cols,
-                             full.cols * sizeof(float)))
-        << "picked row " << i;
-  EXPECT_EQ(stats.rows, rows.size());
-  EXPECT_EQ(stats.bytes, io::kFrameCachePayloadOffset +
-                             rows.size() * full.cols * sizeof(float));
-  EXPECT_LT(stats.bytes, std::filesystem::file_size(cache));
-  EXPECT_EQ(stats.chunks, 0u);  // no parsing happened
+  for (std::size_t rank : {0u, 1u}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    std::vector<std::size_t> rows;
+    for (std::size_t r = rank; r < full.rows; r += 3) rows.push_back(r);
 
-  EXPECT_THROW((void)io::load_frame_rows(cache, {25}), InvalidArgument);
+    // The row copy out of the mapped payload, and the warm cached read
+    // built on it, both hold exactly the owned rows.
+    const io::DataFrame copied = io::copy_shard(
+        mapped.payload(), mapped.rows(), mapped.cols(), rank, 3);
+    io::CsvReadStats stats;
+    const io::DataFrame picked = io::read_csv_cached(
+        path("r.csv"), io::LoaderKind::kChunked, &stats, rank, 3);
+    expect_frames_equal(picked, copied);
+    ASSERT_EQ(picked.rows, rows.size());
+    ASSERT_EQ(picked.cols, full.cols);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      ASSERT_EQ(0, std::memcmp(picked.data.data() + i * picked.cols,
+                               full.data.data() + rows[i] * full.cols,
+                               full.cols * sizeof(float)))
+          << "picked row " << i;
+
+    EXPECT_EQ(stats.rows, rows.size());
+    EXPECT_EQ(stats.bytes, io::kFrameCachePayloadOffset +
+                               rows.size() * full.cols * sizeof(float));
+    EXPECT_LT(stats.bytes, std::filesystem::file_size(cache));
+    EXPECT_EQ(stats.chunks, 0u);  // no parsing happened
+  }
+
+  EXPECT_THROW((void)mapped.row(25), InvalidArgument);
+  EXPECT_THROW((void)io::copy_shard(mapped.payload(), mapped.rows(),
+                                    mapped.cols(), 3, 3),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,14 +230,14 @@ TEST_F(CacheFingerprintTest, OldMagicV1CacheIsMissAndRebuilt) {
   std::string v1(256, '\0');
   v1.replace(0, 4, "CFR1");
   write_file("v.csv.bin", v1);
-  EXPECT_FALSE(io::is_cached_frame(cache));
+  EXPECT_THROW((void)io::MappedFrame{cache}, IoError);
 
   io::CsvReadStats miss;
   const io::DataFrame df =
       io::read_csv_cached(path("v.csv"), io::LoaderKind::kChunked, &miss);
   EXPECT_GT(miss.chunks, 0u);  // the v1 image did not count as a hit
   EXPECT_EQ(df.rows, 10u);
-  EXPECT_TRUE(io::is_cached_frame(cache));  // rebuilt as v2
+  EXPECT_NO_THROW((void)io::MappedFrame{cache});  // rebuilt as v2
 
   io::CsvReadStats hit;
   (void)io::read_csv_cached(path("v.csv"), io::LoaderKind::kChunked, &hit);
@@ -266,43 +283,54 @@ TEST_F(CacheFingerprintTest, FingerprintMissingFileThrows) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardedReadTest, ShardsEqualGatherOfFullFrameColdAndWarm) {
+  // 42 rows: no tail at world 1 and 2, two tail rows (ranks 0 and 1) at 4.
   io::write_synthetic_csv(path("s.csv"), {42, 7, false}, 9);
   const io::DataFrame full = io::read_csv_chunked(path("s.csv"));
   const std::string cache = io::cache_path_for(path("s.csv"));
 
   for (std::size_t world : {1u, 2u, 4u}) {
     SCOPED_TRACE("world=" + std::to_string(world));
-    const std::size_t shard = full.rows / world;
     for (int pass = 0; pass < 2; ++pass) {  // pass 0 cold, pass 1 warm
       if (pass == 0) std::filesystem::remove(cache);
       for (std::size_t rank = 0; rank < world; ++rank) {
+        // Rows rank, rank + world, ...: the equal shard plus the tail row.
+        const std::size_t owned = (full.rows - rank + world - 1) / world;
         io::CsvReadStats stats;
-        const io::DataFrame mine = io::read_csv_cached_sharded(
-            path("s.csv"), rank, world, io::LoaderKind::kChunked, &stats);
-        ASSERT_EQ(mine.rows, shard);
+        const io::DataFrame mine = io::read_csv_cached(
+            path("s.csv"), io::LoaderKind::kChunked, &stats, rank, world);
+        ASSERT_EQ(mine.rows, owned);
         ASSERT_EQ(mine.cols, full.cols);
-        for (std::size_t i = 0; i < shard; ++i)
+        for (std::size_t i = 0; i < owned; ++i)
           ASSERT_EQ(0,
                     std::memcmp(mine.data.data() + i * mine.cols,
                                 full.data.data() +
                                     (i * world + rank) * full.cols,
                                 full.cols * sizeof(float)))
               << "pass " << pass << " rank " << rank << " row " << i;
-        EXPECT_EQ(stats.rows, shard);
+        EXPECT_EQ(stats.rows, owned);
+        EXPECT_EQ(stats.file_rows, full.rows);
         if (pass == 1) {
-          // Warm: no parsing, and bytes touched scale ~1/world.
+          // Warm: no parsing, and the bytes touched are the header plus
+          // the rank's rows only: ~1/world of the image.
           EXPECT_EQ(stats.chunks, 0u);
-          EXPECT_EQ(stats.bytes,
-                    io::kFrameCachePayloadOffset +
-                        shard * full.cols * sizeof(float));
+          EXPECT_EQ(stats.bytes, io::kFrameCachePayloadOffset +
+                                     owned * full.cols * sizeof(float));
+          if (world > 1) {
+            EXPECT_LT(stats.bytes, std::filesystem::file_size(cache));
+          }
         }
       }
     }
   }
 
-  EXPECT_THROW((void)io::read_csv_cached_sharded(path("s.csv"), 2, 2),
+  EXPECT_THROW((void)io::read_csv_cached(path("s.csv"), io::LoaderKind::kChunked,
+                                         nullptr, 2, 2),
                InvalidArgument);
-  EXPECT_THROW((void)io::read_csv_cached_sharded(path("s.csv"), 0, 0),
+  EXPECT_THROW((void)io::read_csv_cached(path("s.csv"), io::LoaderKind::kChunked,
+                                         nullptr, 0, 0),
+               InvalidArgument);
+  EXPECT_THROW((void)io::read_csv_cached(path("s.csv"), io::LoaderKind::kChunked,
+                                         nullptr, 0, 43),
                InvalidArgument);
 }
 
