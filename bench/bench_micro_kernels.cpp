@@ -5,7 +5,7 @@
 // Two families:
 //   * paper-shaped problems — the P1B1 60,483-wide input Dense GEMM and
 //     the NT3 first Conv1D layer — each measured for both the blocked
-//     kernel (gemm / im2col conv) and the preserved naive reference, so
+//     kernel (gemm / direct conv) and the preserved naive reference, so
 //     the speedup trajectory is recorded;
 //   * a small "Smoke" set that CI runs per commit (non-gating) and
 //     uploads as BENCH_kernels.json.
@@ -223,7 +223,7 @@ void BM_Conv1dNT3Naive(benchmark::State& state) {
                                       kNT3Kernel, kNT3Cin));
 }
 
-// Pool-width sweep on the NT3 Conv1D forward (im2col + GEMM both thread).
+// Pool-width sweep on the NT3 Conv1D forward (row tiles run on the pool).
 void BM_Conv1dNT3Threads(benchmark::State& state) {
   const BenchThreads threads(state.range(0));
   const Tensor x = random_tensor({kNT3Batch, kNT3Len, kNT3Cin}, 6);
@@ -253,9 +253,45 @@ void BM_Conv1dNT3Backward(benchmark::State& state) {
     benchmark::DoNotOptimize(dw.data());
   }
   const std::size_t lout = conv1d_out_length(kNT3Len, kNT3Kernel, 1);
-  // Backward runs two GEMMs of the forward shape (dW and d(cols)).
+  // Backward runs two products of the forward shape (dW and dX).
   set_gflops(state, 2.0 * conv1d_flop_count(kNT3Batch, lout, kNT3Filters,
                                             kNT3Kernel, kNT3Cin));
+}
+
+// The two Conv1D layers of e2ebench's NT3 model at its batch of 20:
+// layer 0 is (L 121, Cin 1, K 9), layer 1 is (L 28, Cin 16, K 5), both with
+// 16 filters and ReLU. Arg 1 selects the backward (dW, dX and db, with dY
+// masked by the ReLU output, as the Conv1D layer runs it). One pool
+// thread, as each rank of nt3-overlap-4r trains.
+void BM_Conv1dNT3E2E(benchmark::State& state) {
+  const BenchThreads threads(1);
+  struct Layer {
+    std::size_t L, cin, K;
+  };
+  constexpr Layer kLayers[] = {{121, 1, 9}, {28, 16, 5}};
+  constexpr std::size_t kBatch = 20, kFilters = 16;
+  const Layer& l = kLayers[state.range(0)];
+  const Tensor x = random_tensor({kBatch, l.L, l.cin}, 16);
+  const Tensor w = random_tensor({l.K, l.cin, kFilters}, 17);
+  const Tensor b = random_tensor({kFilters}, 18);
+  Conv1dWorkspace ws;
+  Tensor y;
+  conv1d_forward(x, w, b, 1, y, &ws, EpilogueOp::kRelu);
+  const Tensor dy = random_tensor(y.shape(), 19);
+  Tensor dx(x.shape()), dw(w.shape()), db(b.shape());
+  const bool backward = state.range(1) != 0;
+  for (auto _ : state) {
+    if (backward) {
+      conv1d_backward(x, w, dy, 1, dx, dw, db, &ws, &y);
+      benchmark::DoNotOptimize(dx.data());
+    } else {
+      conv1d_forward(x, w, b, 1, y, &ws, EpilogueOp::kRelu);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+  const double flops = conv1d_flop_count(
+      kBatch, conv1d_out_length(l.L, l.K, 1), kFilters, l.K, l.cin);
+  set_gflops(state, backward ? 2.0 * flops : flops);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +396,11 @@ BENCHMARK(BM_Conv1dNT3Threads)
     ->THREAD_SWEEP()->MinTime(1.0)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv1dNT3Backward)
     ->MinTime(1.0)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Conv1dNT3E2E)
+    ->ArgNames({"layer", "bwd"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->MinTime(0.4)
+    ->UseRealTime();
 BENCHMARK(BM_GemmThreads)->THREAD_SWEEP()->MinTime(0.4);
 BENCHMARK(BM_SmokeGemm)->MinTime(0.2)->UseRealTime();
 BENCHMARK(BM_SmokeGemmNaive)->MinTime(0.2);

@@ -54,9 +54,9 @@ StepProfile profile_step(BenchmarkId id, double scale, std::size_t batch,
           layers[i]->forward(activations.back(), /*training=*/true));
       profile.layers[i].forward_ms += watch.millis();
     }
-    // Backward, timing each layer.
+    // Backward, timing each layer down to where Model::backward stops.
     Tensor grad = loss.gradient(activations.back(), by);
-    for (std::size_t i = layers.size(); i-- > 0;) {
+    for (std::size_t i = layers.size(); i-- > model.first_trainable_layer();) {
       Stopwatch watch;
       grad = layers[i]->backward(grad);
       profile.layers[i].backward_ms += watch.millis();

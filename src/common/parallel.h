@@ -1,6 +1,7 @@
 // Shared intra-node parallel runtime: one lazily-initialized thread pool
-// feeding every hot loop in the repo (GEMM tiles, im2col, elementwise ops,
-// optimizer updates, fusion-buffer pack/unpack, parallel CSV parsing).
+// feeding every hot loop in the repo (GEMM tiles, Conv1D kernels,
+// elementwise ops, optimizer updates, fusion-buffer pack/unpack, parallel
+// CSV parsing).
 //
 // Design goals, in order:
 //

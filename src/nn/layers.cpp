@@ -193,6 +193,7 @@ Tensor Dense::backward(const Tensor& dy) {
     gemm(true, false, x_, dz, dw_);  // dW = X^T dZ
     if (l2_ > 0.0) axpy(static_cast<float>(2.0 * l2_), w_, dw_);
     db_ = sum_rows(dz);
+    if (!input_grad_needed_) return Tensor();
     return gemm(false, true, dz, w_);  // dX = dZ W^T
   }
   // Channel-parallel backward: slice this rank's columns of dZ, form the
@@ -312,12 +313,19 @@ Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
 }
 
 Tensor Conv1D::backward(const Tensor& dy) {
-  const Tensor dz = activation_backward(act_, dy, y_);
   if (!sharded_ || shard_.world <= 1) {
-    Tensor dx(x_.shape());
-    conv1d_backward(x_, w_, dz, stride_, dx, dw_, db_, &ws_);
+    Tensor dx;
+    if (input_grad_needed_) dx = Tensor(x_.shape());
+    if (act_ == Act::kRelu) {
+      // The kernels mask dy by the ReLU output in registers.
+      conv1d_backward(x_, w_, dy, stride_, dx, dw_, db_, &ws_, &y_);
+    } else {
+      conv1d_backward(x_, w_, activation_backward(act_, dy, y_), stride_,
+                      dx, dw_, db_, &ws_);
+    }
     return dx;
   }
+  const Tensor dz = activation_backward(act_, dy, y_);
   // Filter-parallel backward: slice this rank's filter block of dZ, run the
   // local conv backward (rank-local dW/db over the full batch), then sum
   // the per-rank partial dX across ranks.

@@ -101,6 +101,14 @@ class Layer {
   virtual void set_collective_executor(CollectiveExecutor exec) {
     (void)exec;
   }
+
+  /// Model::compile clears this on the first layer with parameters:
+  /// nothing reads that layer's input gradient, so unsharded Dense and
+  /// Conv1D skip computing it and return an empty tensor.
+  void set_input_grad_needed(bool needed) { input_grad_needed_ = needed; }
+
+ protected:
+  bool input_grad_needed_ = true;
 };
 
 /// Fully connected layer with optional fused activation and optional L2
@@ -177,7 +185,7 @@ class Conv1D : public Layer {
   Act act_;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;
-  Conv1dWorkspace ws_;  // im2col buffers reused across steps
+  Conv1dWorkspace ws_;  // packed-weight scratch reused across steps
   // Filter sharding: this rank owns output filters
   // [shard_begin_, shard_begin_ + shard_cols_); w_ is (K, Cin, local).
   bool sharded_ = false;

@@ -88,6 +88,16 @@ void Model::compile(const Shape& input_shape,
                             local ? std::uint8_t{1} : std::uint8_t{0});
   }
   if (!any_local) rank_local_mask_.clear();
+  // Nothing reads the input gradient of the first layer with parameters,
+  // and the parameter-free layers before it have nothing to learn, so
+  // backward stops at that layer.
+  first_trainable_ = 0;
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    if (grad_spans_[li].second == 0) continue;
+    first_trainable_ = li;
+    layers_[li]->set_input_grad_needed(false);
+    break;
+  }
   optimizer_->set_rank_local_gradients(rank_local_mask_);
   compiled_ = true;
 }
@@ -130,7 +140,7 @@ Tensor Model::forward(const Tensor& x, bool training) {
 
 void Model::backward(const Tensor& dloss) {
   Tensor g = dloss;
-  for (std::size_t li = layers_.size(); li-- > 0;) {
+  for (std::size_t li = layers_.size(); li-- > first_trainable_;) {
     g = layers_[li]->backward(g);
     // Fire gradient-ready as soon as this layer's grads are final: with
     // layers visited in reverse, an overlap scheduler can reduce the

@@ -182,6 +182,13 @@ class Model {
   /// per-layer profiler).
   [[nodiscard]] std::vector<Layer*> layers();
 
+  /// Index of the first layer with parameters (0 when there is none).
+  /// Backward stops after this layer: it is told its input gradient is not
+  /// needed, and the parameter-free layers before it have nothing to learn.
+  [[nodiscard]] std::size_t first_trainable_layer() const {
+    return first_trainable_;
+  }
+
   [[nodiscard]] std::size_t param_count();
   [[nodiscard]] Optimizer& optimizer();
   [[nodiscard]] const Loss& loss() const;
@@ -224,6 +231,7 @@ class Model {
   /// Per-layer (first, count) spans into the flat gradients() order,
   /// computed at compile() time.
   std::vector<std::pair<std::size_t, std::size_t>> grad_spans_;
+  std::size_t first_trainable_ = 0;
   ParallelismPlan plan_;
   std::vector<std::uint8_t> rank_local_mask_;
 };

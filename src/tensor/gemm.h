@@ -1,8 +1,9 @@
 // Cache-blocked, register-tiled single-precision GEMM with fused epilogues.
 //
 // This is the one matrix-product entry point for the NN substrate: dense
-// layers, im2col convolution and their backward passes all lower onto
-// gemm() / gemm_raw(). The implementation follows the classic
+// layers and their backward passes lower onto gemm() / gemm_raw(), and the
+// direct Conv1D kernels (conv.h) sum in this core's order and share its
+// blocking constants. The implementation follows the classic
 // GotoBLAS/BLIS decomposition — NC/KC/MC cache blocking, A and B packed
 // into contiguous MR-/NR-wide panels (pack.h), and an MR×NR microkernel
 // written with GCC/Clang vector extensions (an AVX2+FMA variant is

@@ -96,11 +96,17 @@ Tensor relu(const Tensor& x) {
 
 Tensor relu_backward(const Tensor& dy, const Tensor& y) {
   check_same_shape(dy, y, "relu_backward");
-  Tensor dx = dy;
+  Tensor dx(dy.shape());
   float* pd = dx.data();
+  const float* pdy = dy.data();
   const float* py = y.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i)
-    if (py[i] <= 0.0f) pd[i] = 0.0f;
+  // One unconditional write per element: both operands are loaded first,
+  // so the select compiles to a compare-and-mask, not a jump that
+  // mispredicts on about half of a ReLU output. NaN y keeps dy.
+  for (std::size_t i = 0; i < dx.numel(); ++i) {
+    const float yv = py[i], dv = pdy[i];
+    pd[i] = yv <= 0.0f ? 0.0f : dv;
+  }
   return dx;
 }
 

@@ -2,19 +2,23 @@
 // the packed, register-tiled kernel is checked against the preserved naive
 // reference (gemm_naive) across all transpose combinations, odd and
 // edge-tile shapes straddling the MR/NR/KC blocking boundaries, and every
-// epilogue mode (bias, ReLU, accumulate). The im2col/col2im lowering of
-// Conv1D is validated against the direct reference convolution and a
-// multiplicity round-trip.
+// epilogue mode (bias, ReLU, accumulate). The direct Conv1D kernels are
+// checked bit for bit against the im2col + gemm_raw lowering they replaced,
+// kept here as the oracle, and against the naive reference convolution.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "tensor/conv.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace candle {
@@ -188,55 +192,171 @@ TEST(GemmEpilogue, OverwriteIgnoresPriorContents) {
 }
 
 // ---------------------------------------------------------------------------
-// im2col / col2im and the lowered Conv1D
+// Direct Conv1D kernels vs. the im2col + GEMM oracle
 // ---------------------------------------------------------------------------
 
-TEST(Im2col, LaysOutWindows) {
-  // x: batch 1, L=4, Cin=2; K=2, stride 1 -> 3 rows of 4 values.
-  const Tensor x({1, 4, 2}, {0, 1, 10, 11, 20, 21, 30, 31});
-  Tensor cols;
-  im2col(x, 2, 1, cols);
-  ASSERT_EQ(cols.shape(), (Shape{3, 4}));
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(cols.at(0, 3), 11.0f);
-  EXPECT_FLOAT_EQ(cols.at(1, 0), 10.0f);
-  EXPECT_FLOAT_EQ(cols.at(2, 3), 31.0f);
-}
-
-TEST(Im2col, Col2imRoundTripMatchesWindowMultiplicity) {
-  // col2im(im2col(x)) multiplies every input element by the number of
-  // windows covering it; compute that multiplicity directly and compare.
-  Rng rng(31);
-  const std::size_t b = 2, L = 13, cin = 3, K = 4, stride = 2;
-  const Tensor x = random_tensor({b, L, cin}, rng);
-  Tensor cols;
-  im2col(x, K, stride, cols);
-  Tensor back({b, L, cin});
-  col2im(cols, K, stride, back);
+// The lowering the direct kernels replaced: every window x[bi, t*stride ..
+// t*stride+K-1, :] becomes row (bi*Lout + t) of `cols`, the forward is one
+// GEMM with bias/ReLU in its epilogue, dW = cols^T dZ, and dX is the
+// col2im scatter (zero, then add windows in ascending t) of dZ W^T.
+Tensor oracle_cols(const Tensor& x, std::size_t K, std::size_t stride) {
+  const std::size_t b = x.dim(0), L = x.dim(1), cin = x.dim(2);
   const std::size_t lout = conv1d_out_length(L, K, stride);
+  Tensor cols({b * lout, K * cin});
   for (std::size_t bi = 0; bi < b; ++bi)
-    for (std::size_t t = 0; t < L; ++t) {
-      std::size_t mult = 0;
-      for (std::size_t o = 0; o < lout; ++o)
-        if (o * stride <= t && t < o * stride + K) ++mult;
-      for (std::size_t c = 0; c < cin; ++c) {
-        const std::size_t i = (bi * L + t) * cin + c;
-        ASSERT_NEAR(back[i], static_cast<float>(mult) * x[i], 1e-5f)
-            << "t=" << t << " mult=" << mult;
-      }
-    }
+    for (std::size_t t = 0; t < lout; ++t)
+      std::memcpy(cols.data() + (bi * lout + t) * K * cin,
+                  x.data() + (bi * L + t * stride) * cin,
+                  K * cin * sizeof(float));
+  return cols;
 }
 
-TEST(Im2col, NonOverlappingStrideRoundTripsExactly) {
-  // stride == K: every covered element appears in exactly one window.
-  Rng rng(32);
-  const Tensor x = random_tensor({1, 12, 2}, rng);
-  Tensor cols;
-  im2col(x, 3, 3, cols);
-  Tensor back(x.shape());
-  col2im(cols, 3, 3, back);
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    EXPECT_FLOAT_EQ(back[i], x[i]);
+Tensor oracle_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
+                      std::size_t stride, EpilogueOp act) {
+  const std::size_t K = w.dim(0), cout = w.dim(2);
+  const Tensor cols = oracle_cols(x, K, stride);
+  Tensor y({x.dim(0), cols.dim(0) / x.dim(0), cout});
+  Epilogue ep;
+  ep.bias = bias.data();
+  ep.op = act;
+  gemm_raw(false, false, cols.dim(0), cout, cols.dim(1), cols.data(),
+           w.data(), y.data(), ep);
+  return y;
+}
+
+void oracle_backward(const Tensor& x, const Tensor& w, const Tensor& dz,
+                     std::size_t stride, Tensor& dx, Tensor& dw,
+                     Tensor& db) {
+  const std::size_t K = w.dim(0), cin = w.dim(1), cout = w.dim(2);
+  const Tensor cols = oracle_cols(x, K, stride);
+  const std::size_t rows = cols.dim(0), row_w = cols.dim(1);
+  db.zero();
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t oc = 0; oc < cout; ++oc)
+      db[oc] += dz[r * cout + oc];
+  gemm_raw(true, false, row_w, cout, rows, cols.data(), dz.data(),
+           dw.data());
+  Tensor dcols({rows, row_w});
+  gemm_raw(false, true, rows, row_w, cout, dz.data(), w.data(),
+           dcols.data());
+  const std::size_t b = x.dim(0), L = x.dim(1), lout = rows / b;
+  dx.zero();
+  for (std::size_t bi = 0; bi < b; ++bi)
+    for (std::size_t t = 0; t < lout; ++t)
+      for (std::size_t i = 0; i < row_w; ++i)
+        dx[(bi * L + t * stride) * cin + i] +=
+            dcols[(bi * lout + t) * row_w + i];
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& ref,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), ref.shape()) << what;
+  if (std::memcmp(got.data(), ref.data(), got.numel() * sizeof(float)) == 0)
+    return;
+  for (std::size_t i = 0; i < got.numel(); ++i)
+    if (std::memcmp(got.data() + i, ref.data() + i, sizeof(float)) != 0)
+      FAIL() << what << ": first differing element " << i << ": " << got[i]
+             << " vs " << ref[i];
+}
+
+// Forward, dW, dX and db, unmasked and ReLU-masked, over every shape class
+// the kernels block on: 1-, 5-, 16-, 17- and 128-filter panels, 1- to
+// 320-long windows (K*Cin > kGemmKC splits the forward reduction), strides
+// 1-3, b = 1, Lout = 1, and b*Lout > kGemmKC (always split in dW).
+TEST(Conv1dDirect, BitIdenticalToIm2colGemmOracle) {
+  Rng rng(37);
+  struct Extent {
+    std::size_t b, lout;
+  };
+  const Extent extents[] = {{1, 1}, {1, 7}, {3, 37}, {3, 100}};
+  for (std::size_t cin : {1u, 3u, 16u})
+    for (std::size_t cout : {1u, 5u, 16u, 17u, 128u})
+      for (std::size_t K : {1u, 5u, 9u, 20u})
+        for (std::size_t stride : {1u, 2u, 3u})
+          for (const Extent& e : extents) {
+            const std::string what =
+                "cin=" + std::to_string(cin) + " cout=" +
+                std::to_string(cout) + " K=" + std::to_string(K) +
+                " stride=" + std::to_string(stride) +
+                " b=" + std::to_string(e.b) +
+                " lout=" + std::to_string(e.lout);
+            const std::size_t L = K + stride * (e.lout - 1);
+            const Tensor x = random_tensor({e.b, L, cin}, rng);
+            const Tensor w = random_tensor({K, cin, cout}, rng);
+            const Tensor bias = random_tensor({cout}, rng);
+            Conv1dWorkspace ws;
+            for (EpilogueOp act : {EpilogueOp::kIdentity, EpilogueOp::kRelu})
+              expect_same_bits(conv1d_forward(x, w, bias, stride, &ws, act),
+                               oracle_forward(x, w, bias, stride, act),
+                               what + " forward");
+            const Tensor y =
+                conv1d_forward(x, w, bias, stride, &ws, EpilogueOp::kRelu);
+            const Tensor dy = random_tensor(y.shape(), rng);
+            const Tensor dz = relu_backward(dy, y);
+            Tensor dx_ref(x.shape()), dw_ref(w.shape()), db_ref(bias.shape());
+            Tensor dx(x.shape()), dw(w.shape()), db(bias.shape());
+            // Unmasked kernels on dz, then the masked path on dy.
+            oracle_backward(x, w, dz, stride, dx_ref, dw_ref, db_ref);
+            conv1d_backward(x, w, dz, stride, dx, dw, db, &ws);
+            expect_same_bits(dx, dx_ref, what + " dx");
+            expect_same_bits(dw, dw_ref, what + " dw");
+            expect_same_bits(db, db_ref, what + " db");
+            conv1d_backward(x, w, dy, stride, dx, dw, db, &ws, &y);
+            expect_same_bits(dx, dx_ref, what + " masked dx");
+            expect_same_bits(dw, dw_ref, what + " masked dw");
+            expect_same_bits(db, db_ref, what + " masked db");
+            if (HasFailure()) return;
+          }
+}
+
+// Signed zeros and NaN follow the oracle too: a product that underflows
+// leaves -0 before the bias, which the fused ReLU keeps (v < 0 is false),
+// and the mask keeps dY wherever the ReLU output is NaN.
+TEST(Conv1dDirect, SignedZerosAndNaNMatchOracle) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x({1, 4, 1}, {1e-30f, 1e-30f, 0.0f, -1e-30f});
+  const Tensor w({1, 1, 3}, {-1e-30f, 1e-30f, 0.0f});
+  const Tensor bias({3}, {-0.0f, -0.0f, -0.0f});
+  for (EpilogueOp act : {EpilogueOp::kIdentity, EpilogueOp::kRelu})
+    expect_same_bits(conv1d_forward(x, w, bias, 1, nullptr, act),
+                     oracle_forward(x, w, bias, 1, act), "forward");
+  const Tensor y({1, 4, 3},
+                 {nan, 0.0f, -0.0f, 1, -1, nan, 2, 0.0f, 3, -0.0f, nan, 5});
+  const Tensor dy({1, 4, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  Tensor dx_ref(x.shape()), dw_ref(w.shape()), db_ref(bias.shape());
+  oracle_backward(x, w, relu_backward(dy, y), 1, dx_ref, dw_ref, db_ref);
+  Tensor dx(x.shape()), dw(w.shape()), db(bias.shape());
+  conv1d_backward(x, w, dy, 1, dx, dw, db, nullptr, &y);
+  expect_same_bits(dx, dx_ref, "masked dx");
+  expect_same_bits(dw, dw_ref, "masked dw");
+  expect_same_bits(db, db_ref, "masked db");
+}
+
+TEST(Conv1dDirect, EmptyDxSkipsInputGradientOnly) {
+  Rng rng(38);
+  const Tensor x = random_tensor({2, 30, 3}, rng);
+  const Tensor w = random_tensor({5, 3, 16}, rng);
+  const Tensor bias = random_tensor({16}, rng);
+  const Tensor y = conv1d_forward(x, w, bias, 2, nullptr, EpilogueOp::kRelu);
+  const Tensor dy = random_tensor(y.shape(), rng);
+  Tensor dx(x.shape()), dw(w.shape()), db(bias.shape());
+  conv1d_backward(x, w, dy, 2, dx, dw, db, nullptr, &y);
+  Tensor none, dw2(w.shape()), db2(bias.shape());
+  conv1d_backward(x, w, dy, 2, none, dw2, db2, nullptr, &y);
+  EXPECT_EQ(none.numel(), 0u);
+  expect_same_bits(dw2, dw, "dw");
+  expect_same_bits(db2, db, "db");
+}
+
+TEST(Conv1dDirect, MaskedBackwardRejectsMisshapedReluOutput) {
+  Rng rng(39);
+  const Tensor x = random_tensor({1, 10, 2}, rng);
+  const Tensor w = random_tensor({3, 2, 4}, rng);
+  const Tensor dy = random_tensor({1, 8, 4}, rng);
+  const Tensor wrong({1, 7, 4});
+  Tensor dx(x.shape()), dw(w.shape()), db({4});
+  EXPECT_THROW(conv1d_backward(x, w, dy, 1, dx, dw, db, nullptr, &wrong),
+               InvalidArgument);
 }
 
 TEST(Conv1dGemm, MatchesNaiveReference) {

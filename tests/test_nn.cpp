@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -781,6 +783,78 @@ TEST(Model, LearnsLinearRegression) {
   const History h = m.fit(Dataset{x, y}, opt);
   EXPECT_GT(h.final_accuracy(), 0.99f);  // R²
   EXPECT_LT(h.final_loss(), 0.01f);
+}
+
+// Backward stops after the first layer with parameters, which skips its
+// input gradient; the weights must come out bit-identical to a run whose
+// first layer still computes (and discards) that gradient.
+TEST(Model, FirstTrainableLayerSkipsInputGradient) {
+  struct Arch {
+    const char* name;
+    void (*add)(Model&);
+    Shape input;
+    std::size_t first;
+  };
+  const Arch archs[] = {
+      {"conv",
+       [](Model& m) {
+         m.add<ExpandDims>();
+         m.add<Conv1D>(5, 3, 1, Act::kRelu);
+         m.add<MaxPool1D>(2);
+         m.add<Flatten>();
+         m.add<Dense>(2, Act::kSoftmax);
+       },
+       {24}, 1},
+      {"dense",
+       [](Model& m) {
+         m.add<Dense>(8, Act::kRelu);
+         m.add<Dense>(2, Act::kSoftmax);
+       },
+       {24}, 0},
+  };
+  Rng rng(12);
+  const Tensor x = random_tensor({16, 24}, rng);
+  std::vector<std::size_t> labels(16);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 2;
+  const Tensor y = one_hot(labels, 2);
+  for (const Arch& arch : archs) {
+    SCOPED_TRACE(arch.name);
+    Model skip, full;
+    for (Model* m : {&skip, &full}) {
+      arch.add(*m);
+      m->compile(arch.input, make_optimizer("sgd", 0.1),
+                 make_loss("categorical_crossentropy"), 3);
+    }
+    ASSERT_EQ(skip.first_trainable_layer(), arch.first);
+    full.layers()[arch.first]->set_input_grad_needed(true);
+    std::vector<std::size_t> ready;
+    skip.set_grad_ready_hook(
+        [&](std::size_t first, std::size_t) { ready.push_back(first); });
+    for (int step = 0; step < 3; ++step) {
+      (void)skip.train_on_batch(x, y);
+      (void)full.train_on_batch(x, y);
+    }
+    // The first trainable layer's gradients still signal ready (index 0).
+    ASSERT_FALSE(ready.empty());
+    EXPECT_EQ(ready.back(), 0u);
+    const std::vector<Tensor*> a = skip.parameters(), b = full.parameters();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_EQ(std::memcmp(a[i]->data(), b[i]->data(),
+                            a[i]->numel() * sizeof(float)),
+                0)
+          << "parameter " << i;
+    // Only the marked layer returns an empty input gradient.
+    for (Model* m : {&skip, &full}) {
+      const std::vector<Layer*> layers = m->layers();
+      Tensor h = x;
+      for (std::size_t li = 0; li < arch.first; ++li)
+        h = layers[li]->forward(h, true);
+      const Tensor out = layers[arch.first]->forward(h, true);
+      const Tensor dx = layers[arch.first]->backward(Tensor(out.shape(), 1.0f));
+      EXPECT_EQ(dx.numel(), m == &skip ? 0u : h.numel());
+    }
+  }
 }
 
 TEST(Model, ConvModelTrainsOnSyntheticProfiles) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -137,6 +138,19 @@ TEST(Ops, ReluForwardBackward) {
   const Tensor dx = relu_backward(dy, y);
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
+}
+
+TEST(Ops, ReluBackwardZeroesNonPositiveAndKeepsNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor y = Tensor::from({-1.0f, 0.0f, -0.0f, nan, 2.0f});
+  const Tensor dy = Tensor::from({5, -5, 5, 7, -3});
+  const Tensor dx = relu_backward(dy, y);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(dx[i], 0.0f) << i;
+    EXPECT_FALSE(std::signbit(dx[i])) << i;
+  }
+  EXPECT_EQ(dx[3], 7.0f);
+  EXPECT_EQ(dx[4], -3.0f);
 }
 
 TEST(Ops, SigmoidValues) {
@@ -291,6 +305,18 @@ TEST(MaxPool1d, PerChannelIndependence) {
   const Tensor y = maxpool1d_forward(x, 2, 2, argmax);
   EXPECT_FLOAT_EQ(y[0], 9.0f);  // channel 0: max(1, 9)
   EXPECT_FLOAT_EQ(y[1], 8.0f);  // channel 1: max(8, 2)
+}
+
+TEST(MaxPool1d, TiesKeepFirstMaximumAndArgmaxIsReused) {
+  // ReLU outputs tie at 0 often: the first maximum in the window wins.
+  Tensor x({1, 6, 2}, {0, 3, 0, 3, 4, 1, 4, 2, 0, 0, 0, 0});
+  std::vector<std::size_t> argmax(99, 7);
+  const Tensor y = maxpool1d_forward(x, 2, 2, argmax);
+  ASSERT_EQ(argmax.size(), 6u);
+  const std::vector<std::size_t> want{0, 1, 4, 7, 8, 9};
+  EXPECT_EQ(argmax, want);
+  EXPECT_EQ(y[2], 4.0f);
+  EXPECT_EQ(y[3], 2.0f);
 }
 
 TEST(GlobalAvgPool, ForwardAndBackward) {
