@@ -159,8 +159,11 @@ Shape Dense::build(const Shape& input_shape, Rng& rng) {
   return {units_};
 }
 
-Tensor Dense::forward(const Tensor& x, bool /*training*/) {
-  x_ = x;
+Tensor Dense::forward(const Tensor& x, bool training) {
+  // Only a training forward keeps the input and output backward reads;
+  // inference copies neither and hands its output back by move.
+  cached_ = training;
+  if (training) x_ = x;
   // Bias (and ReLU, when it is the layer's activation) ride the GEMM
   // epilogue, so no pre-activation tensor is materialized separately.
   Epilogue ep;
@@ -170,8 +173,8 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
     Tensor z({x.dim(0), units_});
     gemm(false, false, x, w_, z, ep);
     if (act_ != Act::kRelu) apply_activation_inplace(act_, z);
-    y_ = std::move(z);
-    return y_;
+    if (training) y_ = z;
+    return z;
   }
   // Channel-parallel forward: local GEMM over this rank's column slice
   // (bias rides the epilogue; the activation must wait for the gather —
@@ -181,13 +184,15 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
   if (local_block_.shape() != Shape{batch, shard_cols_})
     local_block_ = Tensor({batch, shard_cols_});
   gemm(false, false, x, w_, local_block_, ep);
-  if (y_.shape() != Shape{batch, units_}) y_ = Tensor({batch, units_});
-  allgather_columns(shard_, local_block_, units_, gather_scratch_, y_);
-  apply_activation_inplace(act_, y_);
-  return y_;
+  Tensor y({batch, units_});
+  allgather_columns(shard_, local_block_, units_, gather_scratch_, y);
+  apply_activation_inplace(act_, y);
+  if (training) y_ = y;
+  return y;
 }
 
 Tensor Dense::backward(const Tensor& dy) {
+  require(cached_, "Dense::backward: needs a preceding training forward");
   const Tensor dz = activation_backward(act_, dy, y_);
   if (!sharded_ || shard_.world <= 1) {
     gemm(true, false, x_, dz, dw_);  // dW = X^T dZ
@@ -287,16 +292,21 @@ Shape Conv1D::build(const Shape& input_shape, Rng& rng) {
   return {lout, filters_};
 }
 
-Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
-  x_ = x;
+Tensor Conv1D::forward(const Tensor& x, bool training) {
+  // As in Dense::forward, only a training forward keeps backward's caches.
+  cached_ = training;
+  if (training) x_ = x;
+  Tensor y;
+  Tensor& out = training ? y_ : y;
   if (!sharded_ || shard_.world <= 1) {
     const bool fused_relu = act_ == Act::kRelu;
-    // Writing into y_ reuses the activation buffer across steps: the GEMM
-    // overwrites every element, so no per-step zero-fill is paid.
-    conv1d_forward(x, w_, b_, stride_, y_, &ws_,
+    // Training writes into y_, reusing the activation buffer across steps:
+    // the kernel overwrites every element, so no per-step zero-fill is paid.
+    conv1d_forward(x, w_, b_, stride_, out, &ws_,
                    fused_relu ? EpilogueOp::kRelu : EpilogueOp::kIdentity);
-    if (!fused_relu) apply_activation_inplace(act_, y_);
-    return y_;
+    if (!fused_relu) apply_activation_inplace(act_, out);
+    if (training) return y_;
+    return y;
   }
   // Filter-parallel forward: local convolution over this rank's filter
   // block, then gather the (B, Lout, filters) output (granularity B * Lout
@@ -305,14 +315,16 @@ Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
                  EpilogueOp::kIdentity);
   const std::size_t batch = local_block_.dim(0);
   const std::size_t lout = local_block_.dim(1);
-  if (y_.shape() != Shape{batch, lout, filters_})
-    y_ = Tensor({batch, lout, filters_});
-  allgather_columns(shard_, local_block_, filters_, gather_scratch_, y_);
-  apply_activation_inplace(act_, y_);
-  return y_;
+  if (out.shape() != Shape{batch, lout, filters_})
+    out = Tensor({batch, lout, filters_});
+  allgather_columns(shard_, local_block_, filters_, gather_scratch_, out);
+  apply_activation_inplace(act_, out);
+  if (training) return y_;
+  return y;
 }
 
 Tensor Conv1D::backward(const Tensor& dy) {
+  require(cached_, "Conv1D::backward: needs a preceding training forward");
   if (!sharded_ || shard_.world <= 1) {
     Tensor dx;
     if (input_grad_needed_) dx = Tensor(x_.shape());

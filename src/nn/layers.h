@@ -3,7 +3,10 @@
 // activations).
 //
 // Contract: `build` is called once with the per-sample input shape before
-// training; `forward` caches whatever `backward` needs; `backward` consumes
+// training; a training `forward` caches whatever `backward` needs (an
+// inference forward need not: Dense and Conv1D keep nothing then, and
+// their `backward` throws InvalidArgument until the next training
+// forward); `backward` consumes
 // dL/dy and returns dL/dx while accumulating parameter gradients into the
 // tensors exposed by `grads()` (overwritten each call, not accumulated across
 // calls — the optimizer consumes them per batch).
@@ -41,7 +44,8 @@ class Layer {
   /// the per-sample output shape.
   virtual Shape build(const Shape& input_shape, Rng& rng) = 0;
 
-  /// Forward pass over a whole batch. `training` toggles dropout.
+  /// Forward pass over a whole batch. `training` toggles dropout and the
+  /// caches backward reads.
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
   /// Backward pass; must be called after forward on the same batch.
@@ -148,6 +152,7 @@ class Dense : public Layer {
   double init_scale_;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;  // cached input and post-activation output
+  bool cached_ = false;  // x_/y_ hold the last forward (training only)
   // Channel sharding: this rank owns output columns
   // [shard_begin_, shard_begin_ + shard_cols_) of the full (in, units_)
   // weight; w_/b_/dw_/db_ hold only that slice.
@@ -185,6 +190,7 @@ class Conv1D : public Layer {
   Act act_;
   Tensor w_, b_, dw_, db_;
   Tensor x_, y_;
+  bool cached_ = false;  // x_/y_ hold the last forward (training only)
   Conv1dWorkspace ws_;  // packed-weight scratch reused across steps
   // Filter sharding: this rank owns output filters
   // [shard_begin_, shard_begin_ + shard_cols_); w_ is (K, Cin, local).

@@ -133,8 +133,11 @@ void Model::set_collective_executor(const CollectiveExecutor& exec) {
 }
 
 Tensor Model::forward(const Tensor& x, bool training) {
-  Tensor h = x;
-  for (auto& layer : layers_) h = layer->forward(h, training);
+  if (layers_.empty()) return x;
+  // The first layer reads the caller's tensor directly: no input copy.
+  Tensor h = layers_.front()->forward(x, training);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    h = layers_[i]->forward(h, training);
   return h;
 }
 

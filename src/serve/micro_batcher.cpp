@@ -11,23 +11,15 @@ namespace candle::serve {
 
 using steady_clock = std::chrono::steady_clock;
 
-namespace {
-
-/// The SLO knob as a steady_clock duration (rounded toward zero; a 0.0
-/// deadline stays 0 and closes batches greedily).
-steady_clock::duration deadline_duration(double seconds) {
-  return std::chrono::duration_cast<steady_clock::duration>(
-      std::chrono::duration<double>(seconds));
-}
-
-}  // namespace
-
 MicroBatcher::MicroBatcher(nn::Model& model, const BatcherOptions& options)
     : model_(&model), options_(options) {
   require(options_.max_batch > 0,
           "serve::MicroBatcher: max_batch must be > 0");
   require(options_.batch_deadline_s >= 0.0,
           "serve::MicroBatcher: batch_deadline_s must be >= 0");
+  // Rounded toward zero: a deadline below one clock tick runs greedy.
+  deadline_ = std::chrono::duration_cast<steady_clock::duration>(
+      std::chrono::duration<double>(options_.batch_deadline_s));
   require(model.compiled(), "serve::MicroBatcher: model must be compiled");
   const Shape& per_sample = model.input_shape();
   row_numel_ = shape_numel(per_sample);
@@ -82,7 +74,8 @@ std::future<Response> MicroBatcher::submit(std::span<const float> row) {
     SlotBook& book = book_[slot];
     if (book.state == SlotState::kFree) {
       book.state = SlotState::kOpen;
-      book.opened_at = steady_clock::now();  // arms the deadline timer
+      if (timed())
+        book.opened_at = steady_clock::now();  // arms the deadline timer
     }
     index = book.reserved++;
     if (book.reserved == options_.max_batch) {
@@ -101,9 +94,10 @@ std::future<Response> MicroBatcher::submit(std::span<const float> row) {
     MutexLock lock(mutex_);
     SlotBook& book = book_[slot];
     ++book.staged;
-    // Wake the dispatcher when the batch's last row lands or when the
-    // first row arms a fresh deadline (index 0 also covers greedy mode).
-    wake = book.staged == book.reserved || index == 0;
+    // Wake the dispatcher when every reserved row has landed (a greedy
+    // or full close can proceed) or when the first row arms a deadline.
+    wake = book.staged == book.reserved ||
+           (index == 0 && timed());
   }
   if (wake) dispatch_cv_.notify_one();
   return future;
@@ -125,18 +119,21 @@ BatcherStats MicroBatcher::stats() const {
 }
 
 void MicroBatcher::close_expired_locked() {
-  const steady_clock::time_point now = steady_clock::now();
-  const steady_clock::duration deadline =
-      deadline_duration(options_.batch_deadline_s);
   for (SlotBook& book : book_) {
     if (book.state != SlotState::kOpen) continue;
+    CloseReason reason = CloseReason::kNone;
     if (shutdown_) {
-      book.state = SlotState::kClosed;
-      book.reason = CloseReason::kDrain;
-    } else if (now - book.opened_at >= deadline) {
-      book.state = SlotState::kClosed;
-      book.reason = CloseReason::kDeadline;
+      reason = CloseReason::kDrain;
+    } else if (!timed()) {
+      // Greedy: the dispatcher only gets here while it is free, so take
+      // the batch as soon as no reserved row is still being copied in.
+      if (book.staged == book.reserved) reason = CloseReason::kGreedy;
+    } else if (steady_clock::now() - book.opened_at >= deadline_) {
+      reason = CloseReason::kDeadline;
     }
+    if (reason == CloseReason::kNone) continue;
+    book.state = SlotState::kClosed;
+    book.reason = reason;
   }
 }
 
@@ -166,17 +163,18 @@ void MicroBatcher::dispatch_main() {
         for (const SlotBook& book : book_)
           idle = idle && book.state == SlotState::kFree;
         if (shutdown_ && idle) return;
-        // Sleep until the open slot's deadline (at most one slot is open)
-        // or a client wake; waking re-runs the expiry scan, so a deadline
-        // that fires with rows still being staged degrades to a plain
-        // wait for the last stager instead of spinning.
+        // Sleep until a client wake or, with a deadline timer, until the
+        // open slot's deadline (at most one slot is open); waking re-runs
+        // the close scan, so a deadline that fires with rows still being
+        // staged degrades to a plain wait for the last stager instead of
+        // spinning. Greedy mode arms no timer: the last stager's wake is
+        // what lets the dispatcher take the batch.
         bool have_deadline = false;
         steady_clock::time_point until{};
         for (const SlotBook& book : book_)
-          if (book.state == SlotState::kOpen) {
+          if (timed() && book.state == SlotState::kOpen) {
             have_deadline = true;
-            until = book.opened_at +
-                    deadline_duration(options_.batch_deadline_s);
+            until = book.opened_at + deadline_;
           }
         const auto woken = [this]() CANDLE_REQUIRES(mutex_) {
           close_expired_locked();
@@ -189,12 +187,13 @@ void MicroBatcher::dispatch_main() {
         if (have_deadline) {
           dispatch_cv_.wait_until(mutex_, until, woken);
         } else {
-          // No timer armed yet: additionally wake when a first row opens
-          // a slot, so the outer loop can arm that slot's deadline (the
-          // timed wait above must not use this clause — it would spin
-          // until the deadline).
-          dispatch_cv_.wait(mutex_, [this, &woken]() CANDLE_REQUIRES(mutex_) {
+          // No timer armed yet: with a deadline, additionally wake when a
+          // first row opens a slot, so the outer loop can arm that slot's
+          // deadline (the timed wait above must not use this clause — it
+          // would spin until the deadline).
+          dispatch_cv_.wait(mutex_, [&]() CANDLE_REQUIRES(mutex_) {
             if (woken()) return true;
+            if (!timed()) return false;
             for (const SlotBook& book : book_)
               if (book.state == SlotState::kOpen) return true;
             return false;
@@ -238,6 +237,7 @@ void MicroBatcher::execute_slot(std::size_t index, std::size_t rows,
     stats_.max_batch_rows = std::max(stats_.max_batch_rows, rows);
     switch (reason) {
       case CloseReason::kFull: ++stats_.full_batches; break;
+      case CloseReason::kGreedy: ++stats_.greedy_batches; break;
       case CloseReason::kDeadline: ++stats_.deadline_batches; break;
       case CloseReason::kDrain: ++stats_.drained_batches; break;
       case CloseReason::kNone: break;
@@ -253,7 +253,7 @@ void MicroBatcher::execute_slot(std::size_t index, std::size_t rows,
     std::copy(y.data() + r * out_row_numel_,
               y.data() + (r + 1) * out_row_numel_, response.y.data());
     response.batch_rows = rows;
-    response.deadline_closed = reason != CloseReason::kFull;
+    response.deadline_closed = reason == CloseReason::kDeadline;
     response.completed_at = completed;
     slot.pending[r].set_value(std::move(response));
   }

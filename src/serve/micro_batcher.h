@@ -5,11 +5,22 @@
 // arrive one at a time from concurrent clients. A MicroBatcher turns that
 // stream back into kernel-sized work: an admission queue stages rows from
 // many client threads directly into a shared batch slot, and a dispatcher
-// thread closes the batch when either `max_batch` rows are staged or the
-// batch's `batch_deadline_s` expires — the latency-SLO knob — then runs one
-// fused-epilogue forward over the whole batch on the shared
-// candle::parallel pool and scatters per-row results back to the waiting
-// futures.
+// thread closes the batch, runs one fused-epilogue forward over it on the
+// shared candle::parallel pool and scatters per-row results back to the
+// waiting futures.
+//
+// Close policy (greedy adaptive batching, the default): the dispatcher
+// takes the open batch as soon as it is free and every reserved row is
+// staged, or earlier when `max_batch` rows are reserved. No timer is
+// armed. Batching still emerges under load: rows that arrive while one
+// batch executes gather in the other slot and run together next (Clipper,
+// Crankshaw et al., NSDI 2017, batches adaptively for the same reason).
+// A positive `batch_deadline_s` is an opt-in timer instead: an underfull
+// batch then waits that long after its first row for more rows. That only
+// pays when enough clients are in flight to fill `max_batch` within the
+// deadline (BENCH_serving.json's 16-client, max_batch 16 cells); when
+// batches cannot fill, as in e2ebench's open-loop serving, the timer is
+// pure added latency.
 //
 // Slot protocol (nn::BatchPipeline's kFree -> kReady discipline, with the
 // producer/consumer roles swapped: many clients produce, one dispatcher
@@ -49,18 +60,18 @@ struct BatcherOptions {
   /// Close a batch as soon as this many rows are staged (1 = no batching:
   /// the request-per-forward baseline the serving bench compares against).
   std::size_t max_batch = 32;
-  /// Close an underfull batch this long after its first row arrived — the
-  /// latency SLO knob. 0 runs greedy adaptive batching: a batch closes as
-  /// soon as its staged rows are ready, so batching still emerges under
-  /// load from rows that accumulated while the previous batch executed.
-  double batch_deadline_s = 0.002;
+  /// 0 (the default) is greedy adaptive batching: the dispatcher takes the
+  /// open batch as soon as it is free and the batch's rows are staged. A
+  /// positive value is an opt-in timer: an underfull batch closes this
+  /// long after its first row arrived.
+  double batch_deadline_s = 0.0;
 };
 
 /// Per-request result, fulfilled through the future submit() returns.
 struct Response {
   Tensor y;                        // this request's output row
   std::size_t batch_rows = 0;      // rows in the batch that served it
-  bool deadline_closed = false;    // batch closed by deadline, not by size
+  bool deadline_closed = false;    // batch closed by the deadline timer
   /// Dispatcher timestamp taken right after the batch forward finished;
   /// the load generator computes latency from this instead of the
   /// future-harvest time (open-loop harvesting happens much later).
@@ -73,7 +84,8 @@ struct BatcherStats {
   std::size_t batches = 0;           // forward executions
   std::size_t rows = 0;              // rows served
   std::size_t full_batches = 0;      // closed at max_batch
-  std::size_t deadline_batches = 0;  // closed by deadline expiry
+  std::size_t greedy_batches = 0;    // taken underfull by a free dispatcher
+  std::size_t deadline_batches = 0;  // closed by deadline timer expiry
   std::size_t drained_batches = 0;   // closed early by shutdown drain
   std::size_t max_batch_rows = 0;    // largest batch executed
 
@@ -106,8 +118,8 @@ class MicroBatcher {
       CANDLE_EXCLUDES(mutex_);
 
   /// Drain-on-shutdown: stops admission, executes every already-admitted
-  /// row (deadline ignored — a drained batch closes as soon as its rows are
-  /// staged), fulfills all outstanding futures, and joins the dispatcher.
+  /// row (deadline ignored — a drained batch closes at once and runs as
+  /// soon as its rows are staged), fulfills all outstanding futures, and joins the dispatcher.
   /// Idempotent; the destructor calls it.
   void shutdown() CANDLE_EXCLUDES(mutex_);
 
@@ -119,12 +131,12 @@ class MicroBatcher {
  private:
   /// Slot lifecycle: kFree (empty, may open) -> kOpen (accepting
   /// reservations; at most one slot is open at a time) -> kClosed (batch
-  /// full, deadline-expired, or draining; awaiting its last staged row /
-  /// dispatcher pickup) -> kExecuting (forward in flight) -> kFree.
+  /// full, taken greedily, deadline-expired, or draining; awaiting its
+  /// last staged row / dispatcher pickup) -> kExecuting (forward in flight) -> kFree.
   enum class SlotState { kFree, kOpen, kClosed, kExecuting };
 
   /// Why a batch stopped accepting rows (stats + Response classification).
-  enum class CloseReason { kNone, kFull, kDeadline, kDrain };
+  enum class CloseReason { kNone, kFull, kGreedy, kDeadline, kDrain };
 
   /// Unguarded row storage, on BatchPipeline's discipline: the admission
   /// protocol gives each reserved row index to exactly one client until
@@ -143,14 +155,20 @@ class MicroBatcher {
     CloseReason reason = CloseReason::kNone;
     std::size_t reserved = 0;  // rows claimed by clients
     std::size_t staged = 0;    // rows fully copied in
-    std::chrono::steady_clock::time_point opened_at{};  // first reservation
+    /// First reservation; read only when a deadline timer is armed.
+    std::chrono::steady_clock::time_point opened_at{};
   };
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// False in greedy mode (the default): no deadline timer is armed.
+  [[nodiscard]] bool timed() const {
+    return deadline_ > std::chrono::steady_clock::duration::zero();
+  }
   void dispatch_main();
-  /// Closes every open slot whose deadline has passed (or unconditionally
-  /// under shutdown drain), recording the close reason.
+  /// Closes the open slot when it is due, recording the close reason:
+  /// unconditionally under shutdown drain; in greedy mode once every
+  /// reserved row is staged; otherwise once its deadline has passed.
   void close_expired_locked() CANDLE_REQUIRES(mutex_);
   /// Slot index ready to execute (closed with every reserved row staged),
   /// or kNone.
@@ -162,6 +180,8 @@ class MicroBatcher {
 
   nn::Model* model_;
   BatcherOptions options_;
+  /// batch_deadline_s as a steady_clock duration; zero selects greedy mode.
+  std::chrono::steady_clock::duration deadline_{};
   std::size_t row_numel_ = 0;
   std::size_t out_row_numel_ = 0;
   Shape out_row_shape_;  // per-sample output shape (leading dim dropped)

@@ -508,9 +508,9 @@ TEST(WireDtypeApi, NamesParseAndWidths) {
   EXPECT_EQ(wire_range_bytes(WireDtype::kFp32, 1024), 4096u);
   EXPECT_EQ(wire_range_bytes(WireDtype::kFp16, 1024), 2048u);
   EXPECT_EQ(wire_range_bytes(WireDtype::kInt8, 1024), 1024u + 16u);
-  EXPECT_THROW(parse_wire_dtype("fp8"), InvalidArgument);
-  EXPECT_THROW(parse_wire_dtype(nullptr), InvalidArgument);
-  EXPECT_THROW(parse_allreduce_algo("tree"), InvalidArgument);
+  EXPECT_THROW((void)parse_wire_dtype("fp8"), InvalidArgument);
+  EXPECT_THROW((void)parse_wire_dtype(nullptr), InvalidArgument);
+  EXPECT_THROW((void)parse_allreduce_algo("tree"), InvalidArgument);
   for (AllreduceAlgo a : {AllreduceAlgo::kRing, AllreduceAlgo::kNaive,
                           AllreduceAlgo::kHierarchical})
     EXPECT_EQ(parse_allreduce_algo(allreduce_algo_name(a)), a);

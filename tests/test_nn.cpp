@@ -151,6 +151,43 @@ TEST(Conv1DLayer, BuildComputesOutputShape) {
   EXPECT_EQ(conv.param_count(), 9u * 1 * 16 + 16);
 }
 
+/// An inference forward matches a training forward bit for bit, keeps no
+/// backward cache (backward then throws), and a training forward restores
+/// a backward identical to one run before the inference forward.
+void check_inference_forward_keeps_no_cache(Layer& layer, const Tensor& x,
+                                            Rng& rng) {
+  const Tensor y_train = layer.forward(x, true);
+  const Tensor dy = random_tensor(y_train.shape(), rng);
+  const Tensor dx_before = layer.backward(dy);
+  const Tensor y_infer = layer.forward(x, false);
+  ASSERT_EQ(y_infer.shape(), y_train.shape());
+  EXPECT_EQ(std::memcmp(y_infer.data(), y_train.data(),
+                        y_train.numel() * sizeof(float)),
+            0);
+  EXPECT_THROW((void)layer.backward(dy), InvalidArgument);
+  (void)layer.forward(x, true);
+  const Tensor dx_after = layer.backward(dy);
+  ASSERT_EQ(dx_after.shape(), dx_before.shape());
+  EXPECT_EQ(std::memcmp(dx_after.data(), dx_before.data(),
+                        dx_before.numel() * sizeof(float)),
+            0);
+}
+
+TEST(LayerCaches, DenseInferenceForwardKeepsNoBackwardCache) {
+  Rng rng(31);
+  Dense d(6, Act::kRelu);
+  d.build({5}, rng);
+  check_inference_forward_keeps_no_cache(d, random_tensor({4, 5}, rng), rng);
+}
+
+TEST(LayerCaches, Conv1DInferenceForwardKeepsNoBackwardCache) {
+  Rng rng(32);
+  Conv1D conv(8, 3, 1, Act::kRelu);
+  conv.build({12, 2}, rng);
+  check_inference_forward_keeps_no_cache(conv, random_tensor({3, 12, 2}, rng),
+                                         rng);
+}
+
 TEST(LocallyConnectedLayer, ShapesAndParamCount) {
   Rng rng(20);
   LocallyConnected1D lc(4, 3, 2, Act::kNone);

@@ -286,6 +286,30 @@ TEST(Alignment, TensorStorageIsCacheLineAligned) {
                 "cache line must hold whole 128-bit vectors");
 }
 
+TEST(Alignment, FreedBlockFitsNextRequestOfSameSize) {
+  // A block freed between two live neighbours must take the next request
+  // of its size, or a loop that frees and re-allocates one activation
+  // shape per step walks the heap upward (aligned.h). Sanitizer runtimes
+  // quarantine freed blocks instead of reusing them.
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "needs glibc malloc's immediate reuse";
+#else
+  AlignedAllocator<float> alloc;
+  for (std::size_t n : {4096u, 25000u}) {
+    float* left = alloc.allocate(n);
+    float* block = alloc.allocate(n);
+    float* right = alloc.allocate(n);
+    alloc.deallocate(block, n);
+    float* again = alloc.allocate(n);
+    EXPECT_EQ(again, block) << "n=" << n;
+    alloc.deallocate(again, n);
+    alloc.deallocate(right, n);
+    alloc.deallocate(left, n);
+  }
+#endif
+}
+
 TEST(Alignment, FusionBufferStorageIsCacheLineAligned) {
   // The persistent fusion scratch packs gradient buckets for the allreduce
   // pack/unpack memcpy loops; it must share the numeric buffers' 64-byte

@@ -155,8 +155,28 @@ TEST(MicroBatcher, FullBatchClosesBySize) {
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.rows, 4u);
   EXPECT_EQ(stats.full_batches, 1u);
+  EXPECT_EQ(stats.greedy_batches, 0u);
   EXPECT_EQ(stats.deadline_batches, 0u);
   EXPECT_EQ(stats.max_batch_rows, 4u);
+}
+
+// The default policy is greedy: a lone request runs as soon as it is
+// staged, in a 1-row batch that no timer closed.
+TEST(MicroBatcher, DefaultOptionsAreGreedy) {
+  EXPECT_EQ(BatcherOptions{}.batch_deadline_s, 0.0);
+  Model reference = make_mlp(5);
+  Model served = make_mlp_inference(5);
+  MicroBatcher batcher(served, {});
+  const Tensor pool = make_rows(1, kIn, 11);
+  const Response r = batcher.submit(row_span(pool, 0)).get();
+  expect_exact(r.y.values(), predict_row(reference, pool, 0).values());
+  EXPECT_EQ(r.batch_rows, 1u);
+  EXPECT_FALSE(r.deadline_closed);
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.greedy_batches, 1u);
+  EXPECT_EQ(stats.full_batches, 0u);
+  EXPECT_EQ(stats.deadline_batches, 0u);
 }
 
 TEST(MicroBatcher, DeadlineClosesUnderfullBatch) {
@@ -173,7 +193,9 @@ TEST(MicroBatcher, DeadlineClosesUnderfullBatch) {
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rows, 2u);
   EXPECT_EQ(stats.full_batches, 0u);
+  EXPECT_EQ(stats.greedy_batches, 0u);
   EXPECT_GE(stats.deadline_batches, 1u);
+  EXPECT_EQ(stats.deadline_batches, stats.batches);
 }
 
 TEST(MicroBatcher, GreedyModeZeroDeadline) {
@@ -192,6 +214,9 @@ TEST(MicroBatcher, GreedyModeZeroDeadline) {
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rows, kThreads * kPerThread);
   EXPECT_GE(stats.batches, 1u);
+  // Every batch closed full or greedily: no timer runs at deadline 0.
+  EXPECT_EQ(stats.full_batches + stats.greedy_batches, stats.batches);
+  EXPECT_EQ(stats.deadline_batches, 0u);
 }
 
 TEST(MicroBatcher, DrainOnShutdownFulfilsPending) {
@@ -206,7 +231,7 @@ TEST(MicroBatcher, DrainOnShutdownFulfilsPending) {
   for (auto& f : futures) {
     const Response r = f.get();
     EXPECT_EQ(r.batch_rows, 3u);
-    EXPECT_TRUE(r.deadline_closed);
+    EXPECT_FALSE(r.deadline_closed);  // drained, not timed out
   }
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rows, 3u);
@@ -234,8 +259,9 @@ TEST(MicroBatcher, RejectsBadOptionsAndUncompiledModel) {
 
 // The determinism contract under real concurrency — also the TSan stress
 // test: 8 clients hammer one batcher; every served row must be
-// bit-identical to a single-row predict on the reference model.
-TEST(MicroBatcher, ConcurrentClientsBitIdenticalToPredict) {
+// bit-identical to a single-row predict on the reference model. Runs
+// under a deadline timer and under the default (greedy) options.
+void check_concurrent_clients(const BatcherOptions& options) {
   Model reference = make_mlp(8);
   Model served = make_mlp_inference(8);
   const Tensor pool = make_rows(64, kIn, 29);
@@ -245,7 +271,7 @@ TEST(MicroBatcher, ConcurrentClientsBitIdenticalToPredict) {
   for (std::size_t r = 0; r < pool.dim(0); ++r)
     expected.push_back(predict_row(reference, pool, r));
 
-  MicroBatcher batcher(served, {.max_batch = 8, .batch_deadline_s = 0.001});
+  MicroBatcher batcher(served, options);
   constexpr std::size_t kThreads = 8, kPerThread = 32;
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> clients;
@@ -270,7 +296,12 @@ TEST(MicroBatcher, ConcurrentClientsBitIdenticalToPredict) {
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.requests, kThreads * kPerThread);
   EXPECT_EQ(stats.rows, kThreads * kPerThread);
-  EXPECT_LE(stats.max_batch_rows, 8u);
+  EXPECT_LE(stats.max_batch_rows, options.max_batch);
+}
+
+TEST(MicroBatcher, ConcurrentClientsBitIdenticalToPredict) {
+  check_concurrent_clients({.max_batch = 8, .batch_deadline_s = 0.001});
+  check_concurrent_clients({});
 }
 
 TEST(InferenceServer, MultiModelRoutingAndValidation) {
